@@ -23,9 +23,10 @@ import numpy as np
 
 from . import io
 from .baselines import AngularGrid, cbf_spectrum
-from .crb import CrbParameterization, crb_frequencies, crb_frequencies_db
+from .crb import CrbParameterization, crb_frequencies
 from .inference import ALGORITHM_CASES, RunOptions, run
 from .model import NoiseCase, synthesize_scene
+from .support_search import NumericalError
 from .sweep import run_sweep, write_result_table, write_trial_log
 
 
@@ -112,7 +113,7 @@ def _cmd_crb(args) -> int:
     scene = io.read_scene(args.scene)
     params = CrbParameterization.from_weights(scene.omegas, scene.weights)
     block = crb_frequencies(params, scene.noise_variances)
-    io.write_crb_report(args.out, scene.omegas, block, crb_frequencies_db(params, scene.noise_variances))
+    io.write_crb_report(args.out, scene.omegas, block, 10.0 * np.log10(np.trace(block)))
     print(f"wrote {args.out}")
     return 0
 
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

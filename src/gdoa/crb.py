@@ -1,13 +1,25 @@
-"""Fisher information and frequency Cramer-Rao bounds for the ULA line-spectral model.
+"""Frequency Cramer-Rao bounds for the ULA line-spectral model.
 
-The deterministic parameter vector stacks, in this order, the K frequencies,
-the amplitude magnitudes snapshot by snapshot, and the phases snapshot by
-snapshot: ``[omega; vec(G); vec(Phi)]`` of length ``K + 2*K*L`` (vec is
-column-major, so snapshot l occupies a contiguous block of K entries).
+The snapshots are ``y_l = A(omega) x_l + n_l`` with ``A[m, k] = exp(1j*m*omega_k)``
+(0-based antenna index m), amplitudes ``x[k, l] = g[k, l] * exp(1j*phi[k, l])``
+and ``n_l ~ CN(0, diag(nu[:, l]))``.
+:func:`crb_frequencies` evaluates the concentrated deterministic bound of
+Stoica & Nehorai (1989, "MUSIC, maximum likelihood and Cramer-Rao bound"),
+whitened per snapshot by ``W_l = diag(nu[:, l])^(-1/2)`` so that it holds in
+all four noise cases::
 
-Antenna indices are 0-based: the noise-free sample is
-``Z[m, l] = sum_k g[k, l] * exp(1j*(m*omega_k + phi[k, l]))``, so every
-frequency partial at the first antenna (m = 0) vanishes.
+    CRB^-1 = 2 * sum_l Re{ X_l^H (W_l D)^H P_l (W_l D) X_l },   X_l = diag(x_l),
+
+where ``D = dA/domega`` and ``P_l`` projects onto the orthogonal complement of
+``W_l A``.  It is the Schur complement of the amplitude and phase block of the
+full Fisher information, so it equals the leading K x K block of its inverse
+at O(L*M*K^2) cost.
+
+:func:`fim` and :func:`signal_partials` build that full Fisher information
+over the stacked parameter vector ``[omega; vec(G); vec(Phi)]`` of length
+``K + 2*K*L`` (vec is column-major, so snapshot l occupies a contiguous block
+of K entries).  They are the slow reference the closed form is tested
+against; no bound is computed through them.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 COND_LIMIT = 1e12
 
@@ -93,17 +104,22 @@ def signal_partials(params: CrbParameterization, m: int, l: int) -> tuple[np.nda
     return d_re, d_im
 
 
+def _noise_grid(params: CrbParameterization, noise) -> np.ndarray:
+    nu = np.asarray(noise, dtype=float)
+    if nu.ndim != 2 or nu.shape[1] != params.L:
+        raise ValueError(f"noise grid shape {nu.shape} does not match L={params.L}")
+    if np.any(nu <= 0):
+        raise ValueError("noise variances must be strictly positive")
+    return nu
+
+
 def fim(params: CrbParameterization, noise: np.ndarray) -> np.ndarray:
     """Fisher information matrix under independent circular Gaussian noise.
 
     ``noise`` is the true (M, L) variance grid; structured cases are covered
     by passing the replicated grid.
     """
-    nu = np.asarray(noise, dtype=float)
-    if nu.ndim != 2 or nu.shape[1] != params.L:
-        raise ValueError(f"noise grid shape {nu.shape} does not match L={params.L}")
-    if np.any(nu <= 0):
-        raise ValueError("noise variances must be strictly positive")
+    nu = _noise_grid(params, noise)
     M, L = nu.shape
     info = np.zeros((params.dim, params.dim))
     for l in range(L):
@@ -114,31 +130,47 @@ def fim(params: CrbParameterization, noise: np.ndarray) -> np.ndarray:
 
 
 def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarray:
-    """Leading K x K block of the inverse Fisher information matrix.
+    """K x K frequency CRB: the leading block of the inverse Fisher information.
 
-    Diagonal entries lower-bound the variance of any unbiased frequency
-    estimator.  Raises :class:`SingularFimError` for provably or numerically
-    singular problems (a zero amplitude, duplicate frequencies, condition
-    number beyond 1e12).
+    ``noise`` is the true (M, L) variance grid; structured cases are covered
+    by passing the replicated grid.  Diagonal entries lower-bound the variance
+    of any unbiased frequency estimator.  Raises :class:`SingularFimError` for
+    provably or numerically singular problems (a zero amplitude, duplicate or
+    near-coincident frequencies, a reduced information with condition number
+    beyond 1e12).
     """
+    nu = _noise_grid(params, noise)
     if np.any(params.g <= 0):
         raise SingularFimError(
             "zero amplitude makes the corresponding phase unidentifiable; FIM is singular"
         )
-    info = fim(params, noise)
-    cond = np.linalg.cond(info)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularFimError(
-            f"FIM condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; "
-            "bounds would be meaningless (duplicate frequencies or degenerate amplitudes?)"
-        )
+    m = np.arange(nu.shape[0], dtype=float)[:, None]
+    wa = (1.0 / np.sqrt(nu)).T[:, :, None] * np.exp(1j * m * params.omegas)  # (L, M, K)
+    # W_l D = 1j * m * W_l A; the factor 1j cancels in (W_l D)^H P_l (W_l D).
+    wd = m * wa
+    wa_h = np.conj(np.swapaxes(wa, 1, 2))
+    x = params.g * np.exp(1j * params.phi)                                   # (K, L)
     try:
-        cho = scipy.linalg.cho_factor(info, lower=True)
-        inv = scipy.linalg.cho_solve(cho, np.eye(params.dim))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond check
-        raise SingularFimError(f"FIM factorization failed: {exc}") from exc
-    K = params.K
-    return inv[:K, :K]
+        gram = wa_h @ wa
+        gram_cond = np.max(np.linalg.cond(gram))
+        if not np.isfinite(gram_cond) or gram_cond > COND_LIMIT:
+            raise SingularFimError(
+                f"steering Gram condition number {gram_cond:.3e} exceeds {COND_LIMIT:.0e}; "
+                "frequencies are duplicate or nearly coincident"
+            )
+        resid = wd - wa @ np.linalg.solve(gram, wa_h @ wd)                  # P_l (W_l D)
+        outer = np.conj(x.T)[:, :, None] * x.T[:, None, :]                   # (L, K, K)
+        info = 2.0 * ((np.conj(np.swapaxes(wd, 1, 2)) @ resid) * outer).real.sum(axis=0)
+        cond = np.linalg.cond(info)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise SingularFimError(
+                f"reduced frequency information condition number {cond:.3e} exceeds "
+                f"{COND_LIMIT:.0e}; bounds would be meaningless"
+            )
+        chol_inv = np.linalg.inv(np.linalg.cholesky(info))
+    except np.linalg.LinAlgError as exc:
+        raise SingularFimError(f"frequency information factorization failed: {exc}") from exc
+    return chol_inv.T @ chol_inv
 
 
 def crb_frequencies_db(params: CrbParameterization, noise: np.ndarray) -> float:

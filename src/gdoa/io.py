@@ -97,6 +97,14 @@ def write_snapshots_binary(path, snap: SnapshotMatrix) -> None:
         fh.write(interleaved.astype("<f8").tobytes())
 
 
+def _complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array with exactly these parts (``re + 1j * im`` turns -0.0 into +0.0)."""
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def read_snapshots_binary(path) -> SnapshotMatrix:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -112,8 +120,8 @@ def read_snapshots_binary(path) -> SnapshotMatrix:
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob[header_end:], dtype="<f8").reshape(L, M, 2)
-    data = (flat[:, :, 0] + 1j * flat[:, :, 1]).T
-    return SnapshotMatrix(data=data.astype(np.complex128), case=_INDEX_CASE[case_idx])
+    data = _complex_from_parts(flat[:, :, 0].T, flat[:, :, 1].T)
+    return SnapshotMatrix(data=data, case=_INDEX_CASE[case_idx])
 
 
 def write_snapshots(path, snap: SnapshotMatrix) -> None:
@@ -143,7 +151,10 @@ def _cplx_to_json(arr: np.ndarray) -> dict:
 def _cplx_from_json(obj, key: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise FormatError(f"key '{key}' must be an object with 're' and 'im' arrays")
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise FormatError(f"key '{key}': 're' shape {re.shape} differs from 'im' shape {im.shape}")
+    return _complex_from_parts(re, im)
 
 
 def write_scene(path, scene: SyntheticScene) -> None:

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 
+import gdoa.cli
+import gdoa.crb
 from gdoa import io
 from gdoa.cli import main
+from gdoa.support_search import NumericalError
 
 
 def write_scenario(path, **over):
@@ -77,6 +80,18 @@ class TestSynthEstimate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_numerical_failure_is_clean_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_scenario(tmp_path / "cfg.json")
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
+
+        def failing(*args, **kwargs):
+            raise NumericalError("posterior system not invertible")
+
+        monkeypatch.setattr(gdoa.cli, "run", failing)
+        code = main(["estimate", str(tmp_path / "d.snapshots.txt"), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "error: posterior system not invertible" in capsys.readouterr().err
+
     def test_malformed_config_names_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"M": 8, "L": 4, "true_omegas": [0.1], "noise_case": "II"}))
@@ -103,6 +118,25 @@ class TestCbfCrb:
         doc = json.loads(out.read_text())
         assert np.isfinite(doc["trace_db"])
         assert len(doc["crb_frequencies"]) == 1
+
+    def test_crb_computed_once(self, tmp_path, monkeypatch):
+        cfg = write_scenario(tmp_path / "cfg.json")
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        calls = []
+        real = gdoa.cli.crb_frequencies
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # patch both names so that a second bound built inside gdoa.crb is counted too
+        monkeypatch.setattr(gdoa.cli, "crb_frequencies", counting)
+        monkeypatch.setattr(gdoa.crb, "crb_frequencies", counting)
+        out = tmp_path / "crb.json"
+        assert main(["crb", str(tmp_path / "d.scene.json"), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        doc = json.loads(out.read_text())
+        assert doc["trace_db"] == 10 * np.log10(np.trace(np.array(doc["crb_frequencies"])))
 
 
 class TestMc:

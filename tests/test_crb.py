@@ -160,3 +160,60 @@ class TestCrbFrequencies:
         nu = np.full((8, 3), 0.4)
         block = crb_frequencies(params, nu)
         assert crb_frequencies_db(params, nu) == pytest.approx(10 * np.log10(np.trace(block)))
+
+
+def noise_grids(rng, M, L):
+    """One true variance grid per noise case I-IV."""
+    return {
+        "I": np.full((M, L), 0.7),
+        "II": np.tile(rng.uniform(0.2, 2.0, size=(1, L)), (M, 1)),
+        "III": np.tile(rng.uniform(0.2, 2.0, size=(M, 1)), (1, L)),
+        "IV": rng.uniform(0.2, 2.0, size=(M, L)),
+    }
+
+
+class TestConcentratedForm:
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    def test_matches_inverse_fim_block(self, rng, K):
+        M, L = 12, 4
+        omegas = np.linspace(-2.0, 2.0, K) + rng.uniform(-0.2, 0.2, size=K)
+        params = CrbParameterization(omegas, rng.uniform(0.5, 2.0, size=(K, L)),
+                                     rng.uniform(-np.pi, np.pi, size=(K, L)))
+        for case, nu in noise_grids(rng, M, L).items():
+            ref = np.linalg.inv(fim(params, nu))[:K, :K]
+            np.testing.assert_allclose(crb_frequencies(params, nu), ref, rtol=1e-10,
+                                       atol=1e-10 * np.abs(ref).max(), err_msg=f"case {case}")
+
+    def test_single_source_closed_form(self, rng):
+        M, L = 10, 5
+        params = random_params(rng, K=1, L=L)
+        x = params.g[0] * np.exp(1j * params.phi[0])
+        m = np.arange(M, dtype=float)[:, None]
+        for nu in noise_grids(rng, M, L).values():
+            s0, s1, s2 = (1.0 / nu).sum(axis=0), (m / nu).sum(axis=0), (m * m / nu).sum(axis=0)
+            expected = 1.0 / (2.0 * np.sum(np.abs(x) ** 2 * (s2 - s1 * s1 / s0)))
+            assert crb_frequencies(params, nu)[0, 0] == pytest.approx(expected, rel=1e-10)
+
+    def test_near_coincident_frequencies_rejected(self):
+        params = CrbParameterization(
+            omegas=np.array([0.5, 0.5 + 1e-9]), g=np.ones((2, 2)), phi=np.zeros((2, 2))
+        )
+        with pytest.raises(SingularFimError):
+            crb_frequencies(params, np.ones((6, 2)))
+
+    def test_factorization_failure_is_singular_fim_error(self, rng, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        with pytest.raises(SingularFimError, match="factorization"):
+            crb_frequencies(random_params(rng), np.ones((6, 3)))
+
+    def test_does_not_build_the_full_fim(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full FIM built")
+
+        monkeypatch.setattr("gdoa.crb.fim", forbidden)
+        monkeypatch.setattr("gdoa.crb.signal_partials", forbidden)
+        block = crb_frequencies(random_params(rng), np.ones((6, 3)))
+        assert block.shape == (2, 2)

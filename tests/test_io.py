@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdoa import io
@@ -33,6 +33,7 @@ class TestSnapshotFormats:
         assert back.case is snap.case
 
     @given(values=st.lists(finite_floats, min_size=8, max_size=8))
+    @example(values=[0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0])
     @settings(max_examples=50, deadline=None)
     def test_round_trip_awkward_floats(self, values, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("roundtrip")
@@ -109,6 +110,23 @@ class TestSceneFormat:
         assert back.weights.tobytes() == scene.weights.tobytes()
         assert back.clean_signal.tobytes() == scene.clean_signal.tobytes()
         assert back.noise_variances.tobytes() == scene.noise_variances.tobytes()
+
+    def test_round_trip_negative_zero_weight(self, tmp_path):
+        cfg = ScenarioConfig(M=4, L=2, K=1, true_omegas=(0.3,), snr_db=8.0,
+                             delta_nu_db=9.0, noise_case=NoiseCase.II, seed=3)
+        scene, _ = synthesize_scene(cfg)
+        scene.weights.real[0, 0] = -0.0
+        scene.weights.imag[0, 1] = -0.0
+        path = tmp_path / "scene.json"
+        io.write_scene(path, scene)
+        assert io.read_scene(path).weights.tobytes() == scene.weights.tobytes()
+
+    def test_mismatched_complex_parts(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text('{"omegas": [0.1], "weights": {"re": [[1.0, 2.0]], "im": [[0.0]]},'
+                        ' "clean_signal": {"re": [], "im": []}, "noise_variances": []}')
+        with pytest.raises(io.FormatError, match="'weights'"):
+            io.read_scene(path)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "scene.json"
