@@ -8,7 +8,7 @@ reproducible Monte Carlo harness.
 
 from .baselines import AngularGrid, cbf_spectrum
 from .circular import VonMises, approximate_posterior, bessel_ratio, moment_vector
-from .crb import CrbParameterization, SingularFimError, crb_frequencies, crb_frequencies_db, fim
+from .crb import CrbParameterization, SingularFimError, crb_frequencies, fim
 from .inference import (
     ALGORITHM_CASES,
     EstimationResult,
@@ -55,7 +55,6 @@ __all__ = [
     "bessel_ratio",
     "cbf_spectrum",
     "crb_frequencies",
-    "crb_frequencies_db",
     "fim",
     "gated_freq_mse",
     "model_order_prob",

@@ -25,7 +25,7 @@ from . import io
 from .baselines import AngularGrid, cbf_spectrum
 from .crb import CrbParameterization, crb_frequencies
 from .inference import ALGORITHM_CASES, RunOptions, run
-from .model import NoiseCase, synthesize_scene
+from .model import synthesize_scene
 from .support_search import NumericalError
 from .sweep import run_sweep, write_result_table, write_trial_log
 
@@ -54,30 +54,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _resolve_case(args) -> NoiseCase:
-    if args.algo is not None:
-        if args.algo not in ALGORITHM_CASES:
-            raise ValueError(f"unknown algorithm {args.algo!r}; expected one of {sorted(ALGORITHM_CASES)}")
-        return ALGORITHM_CASES[args.algo]
-    if args.case is not None:
-        return NoiseCase.from_label(args.case)
-    return NoiseCase.I
-
-
 def _add_estimate(sub):
     p = sub.add_parser("estimate", help="run one estimator variant on a snapshot file")
     p.add_argument("snapshots", help="snapshot file (text or binary)")
-    p.add_argument("--algo", default=None, help="MVALSE | MVHN-S | MVHN-A | MVHN")
-    p.add_argument("--case", default=None, help="assumed noise case I | II | III | IV (alternative to --algo)")
+    p.add_argument("--algo", default="MVALSE", help="MVALSE | MVHN-S | MVHN-A | MVHN (default: MVALSE)")
     p.add_argument("--budget", type=int, default=None, help="component budget N (default: antenna count)")
     p.add_argument("--out", required=True, help="output estimation result (JSON)")
     p.set_defaults(func=_cmd_estimate)
 
 
 def _cmd_estimate(args) -> int:
-    if args.algo is not None and args.case is not None:
-        raise ValueError("give --algo or --case, not both")
-    case = _resolve_case(args)
+    if args.algo not in ALGORITHM_CASES:
+        raise ValueError(f"unknown algorithm {args.algo!r}; expected one of {sorted(ALGORITHM_CASES)}")
+    case = ALGORITHM_CASES[args.algo]
     snap = io.read_snapshots(args.snapshots)
     result = run(snap, n_components=args.budget, case=case, options=RunOptions())
     io.write_estimation_result(args.out, result, case)

@@ -172,7 +172,3 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
         raise SingularFimError(f"frequency information factorization failed: {exc}") from exc
     return chol_inv.T @ chol_inv
 
-
-def crb_frequencies_db(params: CrbParameterization, noise: np.ndarray) -> float:
-    """10*log10 of the trace of the frequency CRB block (matches the MSE scale)."""
-    return 10.0 * np.log10(np.trace(crb_frequencies(params, noise)))

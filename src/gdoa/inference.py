@@ -39,32 +39,20 @@ class NoiseEstimate:
     """Case-tagged variance structure.
 
     ``values`` is a scalar (Case I), a length-L vector (Case II), a length-M
-    vector (Case III) or an (M, L) grid (Case IV).
+    vector (Case III) or an (M, L) grid (Case IV): the (M, L) grid with the
+    case's tied axes averaged out.
     """
 
     case: NoiseCase
     values: float | np.ndarray
 
     def full_grid(self, M: int, L: int) -> np.ndarray:
-        if self.case is NoiseCase.I:
-            return np.broadcast_to(float(self.values), (M, L))
         v = np.asarray(self.values, dtype=float)
-        if self.case is NoiseCase.II:
-            if v.shape != (L,):
-                raise ValueError(f"Case II expects {L} per-snapshot values, got shape {v.shape}")
-            return np.broadcast_to(v[None, :], (M, L))
-        if self.case is NoiseCase.III:
-            if v.shape != (M,):
-                raise ValueError(f"Case III expects {M} per-antenna values, got shape {v.shape}")
-            return np.broadcast_to(v[:, None], (M, L))
-        if v.shape != (M, L):
-            raise ValueError(f"Case IV expects an ({M}, {L}) grid, got shape {v.shape}")
-        return v
-
-    def validate(self) -> None:
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if np.any(v <= 0) or not np.all(np.isfinite(v)):
-            raise ValueError("noise variances must be finite and strictly positive")
+        shape = self.case.value_shape(M, L)
+        if v.shape != shape:
+            raise ValueError(f"Case {self.case.value} expects noise values of shape {shape}, "
+                             f"got shape {v.shape}")
+        return np.broadcast_to(np.expand_dims(v, self.case.tied_axes), (M, L))
 
 
 @dataclass
@@ -81,17 +69,20 @@ class HyperParams:
             raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
+# INIT_NOISE_FRACTION = 0.5 keeps the first support sweep from massively
+# overfitting when the data is noise-dominated (smaller values inflate the
+# seeded concentrations by 1/fraction and lock rho near its upper clamp).
+INIT_NOISE_FRACTION = 0.5
+INIT_RHO = 0.5
+NOISE_FLOOR_SCALE = 1e-12
+
+
 @dataclass
 class RunOptions:
-    # init_noise_fraction = 0.5 keeps the first support sweep from massively
-    # overfitting when the data is noise-dominated (smaller values inflate the
-    # seeded concentrations by 1/fraction and lock rho near its upper clamp).
+    """Stopping rule of :func:`run`."""
+
     tol: float = 1e-6
     max_iterations: int = 500
-    init_noise_fraction: float = 0.5
-    init_rho: float = 0.5
-    noise_floor_scale: float = 1e-12
-    freeze_noise: bool = False  # diagnostic: skip the noise update entirely
 
 
 @dataclass
@@ -131,29 +122,11 @@ def _clamp_rho(rho: float, n: int) -> float:
     return min(max(rho, lo), hi)
 
 
-def _replicate_noise(case: NoiseCase, level: float, M: int, L: int) -> NoiseEstimate:
-    if case is NoiseCase.I:
-        return NoiseEstimate(case=case, values=float(level))
-    if case is NoiseCase.II:
-        return NoiseEstimate(case=case, values=np.full(L, level))
-    if case is NoiseCase.III:
-        return NoiseEstimate(case=case, values=np.full(M, level))
-    return NoiseEstimate(case=case, values=np.full((M, L), level))
-
-
 def _reduce_noise(case: NoiseCase, cell_grid: np.ndarray, floor: float) -> NoiseEstimate:
-    if case is NoiseCase.I:
-        values = max(float(cell_grid.mean()), floor)
-    elif case is NoiseCase.II:
-        values = np.maximum(cell_grid.mean(axis=0), floor)
-    elif case is NoiseCase.III:
-        values = np.maximum(cell_grid.mean(axis=1), floor)
-    else:
-        values = np.maximum(cell_grid, floor)
-    return NoiseEstimate(case=case, values=values)
+    return NoiseEstimate(case=case, values=np.maximum(cell_grid.mean(axis=case.tied_axes), floor))
 
 
-def init_state(Y: np.ndarray, N: int, case: NoiseCase, options: RunOptions | None = None) -> InferenceState:
+def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     """Deterministic initialization from the data.
 
     The noise level starts at a fraction of the mean sample power, hyper
@@ -162,19 +135,18 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase, options: RunOptions | Non
     the running residual (strongest remaining peak first, matched-filter
     weight estimate, then cancellation).  All components start inactive.
     """
-    options = options or RunOptions()
     Y = np.asarray(Y, dtype=np.complex128)
     M, L = Y.shape
     if not 1 <= N <= M:
         raise ValueError(f"component budget must satisfy 1 <= N <= M, got N={N}, M={M}")
 
     mean_power = float(np.sum(np.abs(Y) ** 2)) / (M * L)
-    floor = options.noise_floor_scale * mean_power if mean_power > 0 else options.noise_floor_scale
-    nu0 = max(options.init_noise_fraction * mean_power, floor)
-    noise = _replicate_noise(case, nu0, M, L)
+    floor = NOISE_FLOOR_SCALE * mean_power if mean_power > 0 else NOISE_FLOOR_SCALE
+    nu0 = max(INIT_NOISE_FRACTION * mean_power, floor)
+    noise = NoiseEstimate(case=case, values=np.full(case.value_shape(M, L), nu0))
 
-    rho = _clamp_rho(options.init_rho, N)
-    tau = mean_power / (options.init_rho * N)
+    rho = _clamp_rho(INIT_RHO, N)
+    tau = mean_power / (INIT_RHO * N)
     if tau <= 0:
         tau = 1.0
     hyper = HyperParams(rho=rho, tau=tau)
@@ -329,14 +301,13 @@ def run(
     M, L = Y.shape
     N = M if n_components is None else int(n_components)
 
-    state = init_state(Y, N, case, options)
+    state = init_state(Y, N, case)
     prev = _padded_weights(state, N, L)
     converged = False
     for t in range(1, options.max_iterations + 1):
         update_weights_support(state, Y)
         update_hyperparams(state)
-        if not options.freeze_noise:
-            update_noise(state, Y)
+        update_noise(state, Y)
         update_frequencies(state, Y)
         state.iteration = t
 

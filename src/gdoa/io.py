@@ -30,6 +30,7 @@ from .model import (
     SnapshotMatrix,
     SyntheticScene,
     omega_to_theta,
+    steering_matrix,
     theta_to_omega,
 )
 
@@ -161,7 +162,6 @@ def write_scene(path, scene: SyntheticScene) -> None:
     doc = {
         "omegas": np.asarray(scene.omegas, dtype=float).tolist(),
         "weights": _cplx_to_json(scene.weights),
-        "clean_signal": _cplx_to_json(scene.clean_signal),
         "noise_variances": np.asarray(scene.noise_variances, dtype=float).tolist(),
     }
     with open(path, "w") as fh:
@@ -175,15 +175,22 @@ def read_scene(path) -> SyntheticScene:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("omegas", "weights", "clean_signal", "noise_variances"):
+    for key in ("omegas", "weights", "noise_variances"):
         if key not in doc:
             raise FormatError(f"{path}: missing key '{key}'")
-    return SyntheticScene(
-        omegas=np.asarray(doc["omegas"], dtype=float),
-        weights=_cplx_from_json(doc["weights"], "weights"),
-        clean_signal=_cplx_from_json(doc["clean_signal"], "clean_signal"),
-        noise_variances=np.asarray(doc["noise_variances"], dtype=float),
-    )
+    omegas = np.asarray(doc["omegas"], dtype=float)
+    weights = _cplx_from_json(doc["weights"], "weights")
+    noise_variances = np.asarray(doc["noise_variances"], dtype=float)
+    if noise_variances.ndim != 2:
+        raise FormatError(f"{path}: key 'noise_variances' must be an M x L grid, "
+                          f"got shape {noise_variances.shape}")
+    M, L = noise_variances.shape
+    if omegas.size and weights.shape != (omegas.size, L):
+        raise FormatError(f"{path}: key 'weights' has shape {weights.shape}, "
+                          f"expected ({omegas.size}, {L})")
+    # The clean signal is not stored; this rebuilds it exactly as synthesize_scene does.
+    clean = steering_matrix(omegas, M) @ weights if omegas.size else np.zeros((M, L), dtype=np.complex128)
+    return SyntheticScene(omegas=omegas, weights=weights, clean_signal=clean, noise_variances=noise_variances)
 
 
 # ------------------------------------------------------------------ configs

@@ -39,6 +39,16 @@ class NoiseCase(enum.Enum):
         except KeyError:
             raise ValueError(f"unknown noise case {label!r}; expected one of I, II, III, IV") from None
 
+    @property
+    def tied_axes(self) -> tuple[int, ...]:
+        """Axes of the (M, L) variance grid along which the variance is shared."""
+        return {"I": (0, 1), "II": (0,), "III": (1,), "IV": ()}[self.value]
+
+    def value_shape(self, M: int, L: int) -> tuple[int, ...]:
+        """Shape of the distinct variances: (), (L,), (M,) or (M, L)."""
+        tied = self.tied_axes
+        return tuple(n for axis, n in enumerate((M, L)) if axis not in tied)
+
 
 @dataclass(frozen=True)
 class AmplitudeLaw:
@@ -179,27 +189,20 @@ def synthesize_noise_variances(
     The nominal level nu0 comes from the realized clean signal via
     :func:`nominal_noise_variance`.  For Cases II-IV the per-snapshot /
     per-antenna / per-cell levels in dB are i.i.d. uniform on
-    [nu0_dB, nu0_dB + delta_nu_db] and replicated along the tied dimension.
+    [nu0_dB, nu0_dB + delta_nu_db] and replicated along the case's tied axes.
+    Case I draws nothing from ``rng``.
     """
     M, L = config.M, config.L
     if clean_signal.shape != (M, L):
         raise ValueError(f"clean signal shape {clean_signal.shape} does not match config ({M}, {L})")
     nu0 = nominal_noise_variance(clean_signal, config.snr_db)
-    if config.noise_case is NoiseCase.I:
+    if config.noise_case is NoiseCase.I or nu0 == 0.0:
         return np.full((M, L), nu0)
-    if nu0 == 0.0:
-        return np.zeros((M, L))
     nu0_db = 10.0 * math.log10(nu0)
-    if config.noise_case is NoiseCase.II:
-        db = rng.uniform(nu0_db, nu0_db + config.delta_nu_db, size=L)
-        grid = np.broadcast_to(10.0 ** (db / 10.0), (M, L)).copy()
-    elif config.noise_case is NoiseCase.III:
-        db = rng.uniform(nu0_db, nu0_db + config.delta_nu_db, size=M)
-        grid = np.broadcast_to(10.0 ** (db[:, None] / 10.0), (M, L)).copy()
-    else:
-        db = rng.uniform(nu0_db, nu0_db + config.delta_nu_db, size=(M, L))
-        grid = 10.0 ** (db / 10.0)
-    return grid
+    tied = config.noise_case.tied_axes
+    size = tuple(1 if axis in tied else n for axis, n in enumerate((M, L)))
+    db = rng.uniform(nu0_db, nu0_db + config.delta_nu_db, size=size)
+    return np.broadcast_to(10.0 ** (db / 10.0), (M, L)).copy()
 
 
 def synthesize_scene(

@@ -71,7 +71,6 @@ class SearchWorkspace:
     order: list[int] = field(default_factory=list)
     C: np.ndarray = None     # (L, k, k)
     x: np.ndarray = None     # (k, L)
-    ln_z: float = 0.0
     flips: int = 0
 
     @property
@@ -89,6 +88,11 @@ class SearchWorkspace:
 
     def log_odds(self) -> float:
         return math.log(self.rho) - math.log1p(-self.rho)
+
+    @property
+    def ln_z(self) -> float:
+        """Evidence score of the current support, computed on demand."""
+        return _score(self.J, self.H, self.rho, self.tau, self.order)
 
 
 def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
@@ -125,7 +129,6 @@ def make_workspace(J: np.ndarray, H: np.ndarray, rho: float, tau: float, support
     ws = SearchWorkspace(J=np.asarray(J), H=np.asarray(H), rho=float(rho), tau=float(tau),
                          order=[int(i) for i in support])
     _refresh(ws)
-    ws.ln_z = _score(ws.J, ws.H, ws.rho, ws.tau, ws.order)
     return ws
 
 
@@ -191,7 +194,7 @@ def delta_deactivate(k: int, ws: SearchWorkspace) -> float:
     return delta
 
 
-def apply_flip(k: int, ws: SearchWorkspace, delta: float, plan=None) -> SearchWorkspace:
+def apply_flip(k: int, ws: SearchWorkspace, plan=None) -> SearchWorkspace:
     """Flip index k in place, updating posteriors by block formulas.
 
     Activation needs the ``plan`` returned by :func:`delta_activate`;
@@ -222,7 +225,6 @@ def apply_flip(k: int, ws: SearchWorkspace, delta: float, plan=None) -> SearchWo
         xp = ws.x[p, :]
         ws.x = np.delete(ws.x, p, axis=0) - (col * (xp / cpp)[:, None]).T
         del ws.order[p]
-    ws.ln_z += delta
     ws.flips += 1
     if ws.flips % REFRESH_EVERY == 0:
         _refresh(ws)
@@ -286,11 +288,10 @@ def greedy_search(ws: SearchWorkspace) -> tuple[SupportState, SearchWorkspace]:
         if not deltas[k_star] > 0:
             return SupportState.from_indices(ws.N, ws.order), ws
         if k_star in ws.order:
-            delta = delta_deactivate(k_star, ws)
-            apply_flip(k_star, ws, delta)
+            apply_flip(k_star, ws)
         else:
-            delta, plan = delta_activate(k_star, ws)
-            apply_flip(k_star, ws, delta, plan)
+            _, plan = delta_activate(k_star, ws)
+            apply_flip(k_star, ws, plan)
     raise NumericalError(f"support search did not terminate within {budget} flips")
 
 

@@ -76,9 +76,9 @@ def test_criterion_1_rank_one_oracle_equivalence():
             assert abs(got - expected) <= 1e-8 * max(1.0, abs(expected))
         k = int(rng.integers(0, 8))
         if k in support:
-            apply_flip(k, ws, delta_deactivate(k, ws))
+            apply_flip(k, ws)
         else:
-            apply_flip(k, ws, 0.0, deltas[k])
+            apply_flip(k, ws, deltas[k])
         C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
         if ws.order:
             assert np.abs(ws.C - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())

@@ -57,17 +57,17 @@ class TestSynthEstimate:
         cfg = write_scenario(tmp_path / "cfg.json")
         main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
         code = main(["estimate", str(tmp_path / "d.snapshots.txt"),
-                     "--case", "III", "--out", str(tmp_path / "r.json")])
+                     "--algo", "MVHN-A", "--out", str(tmp_path / "r.json")])
         assert code == 0
         assert json.loads((tmp_path / "r.json").read_text())["assumed_case"] == "III"
 
-    def test_estimate_rejects_algo_and_case(self, tmp_path, capsys):
+    def test_estimate_rejects_unknown_algorithm(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path / "cfg.json")
         main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
         code = main(["estimate", str(tmp_path / "d.snapshots.txt"),
-                     "--algo", "MVHN", "--case", "I", "--out", str(tmp_path / "r.json")])
+                     "--algo", "MUSIC", "--out", str(tmp_path / "r.json")])
         assert code == 1
-        assert "not both" in capsys.readouterr().err
+        assert "error: unknown algorithm 'MUSIC'" in capsys.readouterr().err
 
     def test_binary_snapshots(self, tmp_path):
         cfg = write_scenario(tmp_path / "cfg.json")

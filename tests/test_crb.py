@@ -5,7 +5,6 @@ from gdoa.crb import (
     CrbParameterization,
     SingularFimError,
     crb_frequencies,
-    crb_frequencies_db,
     fim,
     signal_partials,
 )
@@ -154,12 +153,6 @@ class TestCrbFrequencies:
         )
         with pytest.raises(SingularFimError, match="amplitude"):
             crb_frequencies(params, np.ones((6, 2)))
-
-    def test_db_report(self, rng):
-        params = random_params(rng)
-        nu = np.full((8, 3), 0.4)
-        block = crb_frequencies(params, nu)
-        assert crb_frequencies_db(params, nu) == pytest.approx(10 * np.log10(np.trace(block)))
 
 
 def noise_grids(rng, M, L):

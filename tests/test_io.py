@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -126,6 +128,18 @@ class TestSceneFormat:
         path.write_text('{"omegas": [0.1], "weights": {"re": [[1.0, 2.0]], "im": [[0.0]]},'
                         ' "clean_signal": {"re": [], "im": []}, "noise_variances": []}')
         with pytest.raises(io.FormatError, match="'weights'"):
+            io.read_scene(path)
+
+    @pytest.mark.parametrize("weights, noise, key", [
+        ([[1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]], "'weights' has shape"),
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], "'noise_variances' must be an M x L grid"),
+    ])
+    def test_inconsistent_shapes_named(self, tmp_path, weights, noise, key):
+        path = tmp_path / "scene.json"
+        zeros = np.zeros_like(weights).tolist()
+        path.write_text(json.dumps({"omegas": [0.1, 0.2], "weights": {"re": weights, "im": zeros},
+                                    "noise_variances": noise}))
+        with pytest.raises(io.FormatError, match=key):
             io.read_scene(path)
 
     def test_missing_key(self, tmp_path):

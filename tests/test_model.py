@@ -112,6 +112,12 @@ class TestNoiseVariances:
         nu0_db = 10 * np.log10(nominal_noise_variance(clean, cfg.snr_db))
         assert 10 * np.log10(grid).mean() == pytest.approx(nu0_db + 7.5, abs=0.1)
 
+    def test_case_i_draws_nothing(self):
+        cfg = make_config(noise_case=NoiseCase.I, delta_nu_db=0.0)
+        rng = cfg.rng()
+        synthesize_noise_variances(cfg, rng, np.ones((cfg.M, cfg.L), dtype=complex))
+        assert rng.standard_normal() == cfg.rng().standard_normal()
+
     def test_shape_mismatch_rejected(self, rng):
         cfg = make_config()
         with pytest.raises(ValueError):

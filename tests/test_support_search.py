@@ -151,9 +151,9 @@ class TestApplyFlip:
         inst = random_instance(rng)
         ws = workspace_of(inst, (1, 5))
         C0, x0 = ws.C.copy(), ws.x.copy()
-        delta, plan = delta_activate(3, ws)
-        apply_flip(3, ws, delta, plan)
-        apply_flip(3, ws, delta_deactivate(3, ws))
+        _, plan = delta_activate(3, ws)
+        apply_flip(3, ws, plan)
+        apply_flip(3, ws)
         np.testing.assert_allclose(ws.C, C0, atol=1e-10)
         np.testing.assert_allclose(ws.x, x0, atol=1e-10)
 
@@ -165,10 +165,10 @@ class TestApplyFlip:
             ws = workspace_of(inst, support)
             k = int(rng.integers(0, 8))
             if k in ws.order:
-                apply_flip(k, ws, delta_deactivate(k, ws))
+                apply_flip(k, ws)
             else:
-                delta, plan = delta_activate(k, ws)
-                apply_flip(k, ws, delta, plan)
+                _, plan = delta_activate(k, ws)
+                apply_flip(k, ws, plan)
             C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
             np.testing.assert_allclose(ws.C, C_ref, atol=1e-10)
             np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
@@ -179,17 +179,17 @@ class TestApplyFlip:
         for t in range(120):  # crosses the periodic direct-solve refresh
             k = int(rng.integers(0, 8))
             if k in ws.order:
-                apply_flip(k, ws, delta_deactivate(k, ws))
+                apply_flip(k, ws)
             else:
-                delta, plan = delta_activate(k, ws)
-                apply_flip(k, ws, delta, plan)
+                _, plan = delta_activate(k, ws)
+                apply_flip(k, ws, plan)
             herm_gap = np.abs(ws.C - np.conj(np.swapaxes(ws.C, 1, 2))).max() if ws.order else 0.0
             assert herm_gap <= 1e-12
 
     def test_activation_needs_plan(self, rng):
         ws = workspace_of(random_instance(rng))
         with pytest.raises(ValueError):
-            apply_flip(0, ws, 1.0)
+            apply_flip(0, ws)
 
 
 class TestGreedySearch:
@@ -208,10 +208,10 @@ class TestGreedySearch:
             if deltas[k] <= 0:
                 break
             if k in ws.order:
-                apply_flip(k, ws, delta_deactivate(k, ws))
+                apply_flip(k, ws)
             else:
-                d, plan = delta_activate(k, ws)
-                apply_flip(k, ws, d, plan)
+                _, plan = delta_activate(k, ws)
+                apply_flip(k, ws, plan)
             scores.append(ws.ln_z)
         assert np.all(np.diff(scores) > 0)
 
@@ -242,8 +242,8 @@ class TestWorkspace:
         inst = random_instance(rng)
         ws = workspace_of(inst)
         for k in (5, 1, 3):
-            delta, plan = delta_activate(k, ws)
-            apply_flip(k, ws, delta, plan)
+            _, plan = delta_activate(k, ws)
+            apply_flip(k, ws, plan)
         indices, x, C = extract_sorted(ws)
         assert indices == (1, 3, 5)
         C_ref, x_ref = dense_posteriors(inst, indices, inst["tau"])
