@@ -17,7 +17,7 @@ from .inference import (
     RunOptions,
     run,
 )
-from .metrics import TrialOutcome, gated_freq_mse, model_order_prob, nmse_signal
+from .metrics import gated_freq_mse
 from .model import (
     AmplitudeLaw,
     NoiseCase,
@@ -49,7 +49,6 @@ __all__ = [
     "SupportState",
     "SweepConfig",
     "SyntheticScene",
-    "TrialOutcome",
     "VonMises",
     "approximate_posterior",
     "bessel_ratio",
@@ -57,9 +56,7 @@ __all__ = [
     "crb_frequencies",
     "fim",
     "gated_freq_mse",
-    "model_order_prob",
     "moment_vector",
-    "nmse_signal",
     "omega_to_theta",
     "run",
     "run_sweep",

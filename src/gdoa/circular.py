@@ -6,7 +6,7 @@ give the expected steering vector used everywhere downstream.
 
 ``approximate_posterior`` fits a von Mises to the unnormalized log-density
 
-    f(omega) = Re{ eta^H a(omega) } + prior term,
+    f(omega) = Re{ eta^H a(omega) },
 
 a cosine series with complex coefficients ``eta`` (one per antenna).  The mode
 is located by an FFT grid scan followed by Newton refinement, and the
@@ -113,38 +113,22 @@ def _grid_angles(G: int) -> np.ndarray:
     return angles
 
 
-def _series_eval(eta_conj: np.ndarray, orders: np.ndarray, omega: float, prior: VonMises | None):
+def _series_eval(eta_conj: np.ndarray, orders: np.ndarray, omega: float):
     """Value, first and second derivative of the cosine-series log-density at omega."""
     t = eta_conj * np.exp(1j * orders * omega)
     f = t.real.sum()
     fp = -(orders * t.imag).sum()
     fpp = -(orders * orders * t.real).sum()
-    if prior is not None:
-        d = omega - prior.mu
-        f += prior.kappa * np.cos(d)
-        fp += -prior.kappa * np.sin(d)
-        fpp += -prior.kappa * np.cos(d)
     return f, fp, fpp
 
 
-def log_density(eta: np.ndarray, omega, prior: VonMises | None = None):
-    """Unnormalized log-density Re{eta^H a(omega)} (+ von Mises prior term)."""
-    eta = np.asarray(eta, dtype=np.complex128)
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    orders = np.arange(len(eta))
-    vals = (np.conj(eta)[None, :] * np.exp(1j * np.outer(w, orders))).real.sum(axis=1)
-    if prior is not None:
-        vals = vals + prior.kappa * np.cos(w - prior.mu)
-    return float(vals[0]) if np.isscalar(omega) or np.ndim(omega) == 0 else vals
-
-
-def approximate_posterior(eta: np.ndarray, prior: VonMises | None = None) -> VonMises:
-    """Fit a von Mises to ``q(omega) ∝ p(omega) * exp(Re{eta^H a(omega)})``.
+def approximate_posterior(eta: np.ndarray) -> VonMises:
+    """Fit a von Mises to ``q(omega) ∝ exp(Re{eta^H a(omega)})`` (uniform prior).
 
     The mode is found by scanning a zero-padded FFT grid of size
     ``next_pow2(16*M)`` and polishing with Newton steps on the analytic
     derivatives; the concentration is ``max(0, -f''(mu))``.  With no harmonic
-    content and a uniform prior the result is the degenerate ``VonMises(0, 0)``.
+    content the result is the degenerate ``VonMises(0, 0)``.
     """
     eta = np.asarray(eta, dtype=np.complex128).ravel()
     M = len(eta)
@@ -156,33 +140,29 @@ def approximate_posterior(eta: np.ndarray, prior: VonMises | None = None) -> Von
     orders = np.arange(M)
     eta_conj = np.conj(eta)
     scale = float((orders * np.abs(eta)).sum())
-    if prior is not None:
-        scale += prior.kappa
     if scale == 0.0:
         return VonMises(0.0, 0.0)
 
     G = _next_pow2(GRID_OVERSAMPLE * M)
     grid = (np.fft.ifft(eta_conj, n=G) * G).real
     omegas = _grid_angles(G)
-    if prior is not None:
-        grid = grid + prior.kappa * np.cos(omegas - prior.mu)
     omega = omegas[int(np.argmax(grid))]
 
     max_step = 2.0 * np.pi / G
     tol = GRAD_TOL * max(1.0, scale)
-    f, fp, fpp = _series_eval(eta_conj, orders, omega, prior)
+    f, fp, fpp = _series_eval(eta_conj, orders, omega)
     for _ in range(NEWTON_STEPS):
         if abs(fp) <= tol or fpp >= 0.0:
             break
         step = fp / fpp
         step = np.clip(step, -max_step, max_step)
         candidate = omega - step
-        fc, fpc, fppc = _series_eval(eta_conj, orders, candidate, prior)
+        fc, fpc, fppc = _series_eval(eta_conj, orders, candidate)
         halvings = 0
         while fc < f and halvings < 5:  # keep ascent if Newton overshoots
             step *= 0.5
             candidate = omega - step
-            fc, fpc, fppc = _series_eval(eta_conj, orders, candidate, prior)
+            fc, fpc, fppc = _series_eval(eta_conj, orders, candidate)
             halvings += 1
         if fc < f:
             break

@@ -46,13 +46,17 @@ class NoiseEstimate:
     case: NoiseCase
     values: float | np.ndarray
 
-    def full_grid(self, M: int, L: int) -> np.ndarray:
+    def compact_grid(self, M: int, L: int) -> np.ndarray:
+        """The (M, L) grid with the tied axes kept at length 1: (1, 1), (1, L), (M, 1) or (M, L)."""
         v = np.asarray(self.values, dtype=float)
         shape = self.case.value_shape(M, L)
         if v.shape != shape:
             raise ValueError(f"Case {self.case.value} expects noise values of shape {shape}, "
                              f"got shape {v.shape}")
-        return np.broadcast_to(np.expand_dims(v, self.case.tied_axes), (M, L))
+        return np.expand_dims(v, self.case.tied_axes)
+
+    def full_grid(self, M: int, L: int) -> np.ndarray:
+        return np.broadcast_to(self.compact_grid(M, L), (M, L))
 
 
 @dataclass
@@ -224,8 +228,7 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
 def update_weights_support(state: InferenceState, Y: np.ndarray) -> InferenceState:
     """Greedy evidence ascent over supports, then store the winning posteriors."""
     M, L = Y.shape
-    grid = state.noise.full_grid(M, L)
-    J, H = compute_jh(state.moments, grid, Y)
+    J, H = compute_jh(state.moments, state.noise.compact_grid(M, L), Y)
     ws = make_workspace(J, H, state.hyper.rho, state.hyper.tau, support=state.support.active_set)
     support, ws = greedy_search(ws)
     indices, x, C = extract_sorted(ws)

@@ -1,4 +1,4 @@
-"""Trial metrics: reconstruction NMSE, gated frequency MSE, model-order probability.
+"""Trial metrics: reconstruction NMSE and gated frequency MSE.
 
 Exact-zero errors map to a -300 dB sentinel so tables stay finite.  The
 frequency metric is gated: it exists only when the estimated model order is
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .circular import wrap_angle
 
@@ -31,18 +30,6 @@ class GatedFreqError:
     assignment: np.ndarray   # truth index k -> estimate index assignment[k]
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    nmse_db: float
-    order_correct: bool
-    freq_mse_db: float | None = None
-    matched_perm: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.freq_mse_db is not None and not self.order_correct:
-            raise ValueError("freq_mse_db requires a correct model order")
-
-
 def nmse_ratio(Z_hat: np.ndarray, Z_true: np.ndarray) -> float:
     """Linear NMSE ||Z_hat - Z_true||_F^2 / ||Z_true||_F^2."""
     Z_hat = np.asarray(Z_hat)
@@ -55,12 +42,6 @@ def nmse_ratio(Z_hat: np.ndarray, Z_true: np.ndarray) -> float:
     return float(np.sum(np.abs(Z_hat - Z_true) ** 2)) / denom
 
 
-def nmse_signal(Z_hat: np.ndarray, Z_true: np.ndarray) -> float:
-    """Reconstruction NMSE in dB (exact reconstruction reports the -300 dB sentinel)."""
-    ratio = nmse_ratio(Z_hat, Z_true)
-    return EXACT_DB if ratio == 0.0 else 10.0 * np.log10(ratio)
-
-
 def gated_freq_mse(omega_hat, omega_true, N: int) -> GatedFreqError | None:
     """Optimally matched frequency MSE, or None when the trial is gated out.
 
@@ -68,6 +49,8 @@ def gated_freq_mse(omega_hat, omega_true, N: int) -> GatedFreqError | None:
     error is <= pi/N.  The value is 10*log10 of the sum of squared wrapped
     errors under the minimum-cost (Hungarian) assignment.
     """
+    from scipy.optimize import linear_sum_assignment  # kept off the `import gdoa` path
+
     hat = np.atleast_1d(np.asarray(omega_hat, dtype=float))
     true = np.atleast_1d(np.asarray(omega_true, dtype=float))
     if hat.shape != true.shape:
@@ -82,11 +65,3 @@ def gated_freq_mse(omega_hat, omega_true, N: int) -> GatedFreqError | None:
     sq = float(np.sum(errors**2))
     db = EXACT_DB if sq == 0.0 else 10.0 * float(np.log10(sq))
     return GatedFreqError(db=db, sq_error=sq, assignment=cols)
-
-
-def model_order_prob(outcomes) -> float:
-    """Fraction of trials with the correct model order."""
-    flags = [o.order_correct if isinstance(o, TrialOutcome) else bool(o) for o in outcomes]
-    if not flags:
-        raise ValueError("model_order_prob needs at least one trial")
-    return float(np.mean(flags))

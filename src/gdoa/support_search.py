@@ -11,9 +11,11 @@ posterior mean/covariance pair consistent with the current support through
 bordered-block (activation) and Schur-complement (deactivation) updates, so
 no full matrix inversion happens on the hot path.
 
-The workspace stores the covariances for all L snapshots as one stacked
-(L, k, k) array; candidate gains for a whole sweep are evaluated in a single
-batched pass.
+The workspace stores the quadratic forms and covariances as stacked
+(L, N, N) and (L, k, k) arrays, or as a single (1, N, N) / (1, k, k) slice
+when every snapshot shares them (noise Cases I and III); the per-snapshot
+weights x and linear terms H always carry L columns.  Candidate gains for a
+whole sweep are evaluated in a single batched pass.
 """
 
 from __future__ import annotations
@@ -61,21 +63,23 @@ class SearchWorkspace:
     ``order`` lists the active indices in activation order; ``C`` and ``x``
     are indexed accordingly.  Invariants (restored by ``_refresh`` every
     ``REFRESH_EVERY`` flips): C_l = ([J_l]_order + I/tau)^{-1} and
-    x[:, l] = C_l @ H[order, l].
+    x[:, l] = C_l @ H[order, l].  ``J`` and ``C`` have a leading axis of
+    length L, or of length 1 when one slice stands for every snapshot; the
+    snapshot count comes from ``H``.
     """
 
-    J: np.ndarray            # (L, N, N) Hermitian, diagonal = sum_m 1/nu[m, l]
+    J: np.ndarray            # (L, N, N) or (1, N, N) Hermitian, diagonal = tr(Sigma_l^{-1})
     H: np.ndarray            # (N, L)
     rho: float
     tau: float
     order: list[int] = field(default_factory=list)
-    C: np.ndarray = None     # (L, k, k)
+    C: np.ndarray = None     # (L, k, k) or (1, k, k), like J
     x: np.ndarray = None     # (k, L)
     flips: int = 0
 
     @property
     def L(self) -> int:
-        return self.J.shape[0]
+        return self.H.shape[1]
 
     @property
     def N(self) -> int:
@@ -94,28 +98,43 @@ class SearchWorkspace:
         """Evidence score of the current support, computed on demand."""
         return _score(self.J, self.H, self.rho, self.tau, self.order)
 
+    def per_snapshot(self, a: np.ndarray) -> np.ndarray:
+        """A J- or C-shaped stack with its leading axis spread to L (a view if shared)."""
+        return a if a.shape[0] == self.L else np.broadcast_to(a, (self.L,) + a.shape[1:])
+
 
 def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
-    """Quadratic-form matrices J (L, N, N) and linear terms H (N, L).
+    """Quadratic-form matrices J and linear terms H (N, L).
 
     ``[J_l]_{ij} = a_i^H Sigma_l^{-1} a_j`` off the diagonal with the diagonal
     pinned to ``tr(Sigma_l^{-1})`` (unit-modulus array elements), and
     ``H[:, l] = A^H Sigma_l^{-1} y_l``.
+
+    ``variances`` is the (M, L) variance grid or that grid with its tied axes
+    kept at length 1: (1, 1), (1, L) or (M, 1).  J is (L, N, N), or (1, N, N)
+    when the variances do not vary over snapshots.  Variances tied over
+    antennas give ``J_l = G / s_l`` for one Gram ``G = A^H A`` with diagonal
+    M; variances that vary over antennas need ``A^H diag(1/nu_l) A`` per
+    snapshot column of the grid.
     """
     A = np.asarray(moments, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
     nu = np.asarray(variances, dtype=float)
-    if nu.shape != Y.shape or A.shape[0] != Y.shape[0]:
+    M, L = Y.shape
+    if nu.ndim != 2 or nu.shape[0] not in (1, M) or nu.shape[1] not in (1, L) or A.shape[0] != M:
         raise ValueError(f"shape mismatch: moments {A.shape}, variances {nu.shape}, Y {Y.shape}")
     if np.any(nu <= 0):
         raise ValueError("noise variances must be strictly positive")
     W = 1.0 / nu
     Ah = A.conj().T
-    J = (Ah[None, :, :] * W.T[:, None, :]) @ A
-    tr = W.sum(axis=0)
-    L, N = Y.shape[1], A.shape[1]
-    idx = np.arange(N)
-    J[:, idx, idx] = tr[:, None]
+    idx = np.arange(A.shape[1])
+    if nu.shape[0] == 1:
+        G = Ah @ A
+        G[idx, idx] = M
+        J = G[None, :, :] * W[0][:, None, None]
+    else:
+        J = (Ah[None, :, :] * W.T[:, None, :]) @ A
+        J[:, idx, idx] = W.sum(axis=0)[:, None]
     H = Ah @ (W * Y)
     return J, H
 
@@ -144,11 +163,11 @@ def _score(J, H, rho, tau, indices) -> float:
         chol = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"support system not positive definite: {exc}") from exc
-    lndet = 2.0 * np.log(np.einsum("lkk->lk", chol).real).sum()
+    L = H.shape[1]
+    lndet = 2.0 * np.log(np.einsum("lkk->lk", chol).real).sum() * (L // J.shape[0])
     Hs = H[idx, :]
     z = np.linalg.solve(chol, Hs.T[:, :, None])[..., 0]  # (L, k)
     quad = float((np.abs(z) ** 2).sum())
-    L = J.shape[0]
     return k * log_odds - lndet - L * k * math.log(tau) + quad
 
 
@@ -169,14 +188,14 @@ def delta_activate(k: int, ws: SearchWorkspace):
     """
     if k in ws.order:
         raise ValueError(f"index {k} is already active")
-    jk = ws.J[:, ws.order, k]                       # (L, s)
-    t = (ws.C @ jk[:, :, None])[..., 0]             # (L, s)
+    jk = ws.J[:, ws.order, k]                       # (L or 1, s)
+    t = (ws.C @ jk[:, :, None])[..., 0]             # (L or 1, s)
     quad = np.einsum("ls,ls->l", np.conj(jk), t).real
     denom = ws.tr_inv + 1.0 / ws.tau - quad
     if np.any(denom <= 0):
         raise NumericalError(f"nonpositive Schur complement while activating {k}")
     v = 1.0 / denom
-    cross = np.einsum("ls,sl->l", np.conj(jk), ws.x)
+    cross = np.einsum("ls,sl->l", ws.per_snapshot(np.conj(jk)), ws.x)
     u = v * (ws.H[k, :] - cross)
     delta = float((np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum()) + ws.log_odds()
     return delta, {"k": k, "v": v, "u": u, "t": t}
@@ -200,13 +219,12 @@ def apply_flip(k: int, ws: SearchWorkspace, plan=None) -> SearchWorkspace:
     Activation needs the ``plan`` returned by :func:`delta_activate`;
     deactivation reads everything from the cache.
     """
-    L = ws.L
     if k not in ws.order:
         if plan is None or plan.get("k") != k:
             raise ValueError("activation requires the matching plan from delta_activate")
         v, u, t = plan["v"], plan["u"], plan["t"]
         s = len(ws.order)
-        C_new = np.empty((L, s + 1, s + 1), dtype=np.complex128)
+        C_new = np.empty((ws.C.shape[0], s + 1, s + 1), dtype=np.complex128)
         C_new[:, :s, :s] = ws.C + v[:, None, None] * (t[:, :, None] * np.conj(t)[:, None, :])
         C_new[:, :s, s] = -v[:, None] * t
         C_new[:, s, :s] = -v[:, None] * np.conj(t)
@@ -219,7 +237,7 @@ def apply_flip(k: int, ws: SearchWorkspace, plan=None) -> SearchWorkspace:
         cpp = ws.C[:, p, p].real
         if np.any(cpp <= 0):
             raise NumericalError(f"nonpositive posterior variance while deactivating {k}")
-        col = np.delete(ws.C[:, :, p], p, axis=1)   # (L, s-1)
+        col = np.delete(ws.C[:, :, p], p, axis=1)   # (L or 1, s-1)
         C_red = np.delete(np.delete(ws.C, p, axis=1), p, axis=2)
         ws.C = C_red - (col[:, :, None] * np.conj(col)[:, None, :]) / cpp[:, None, None]
         xp = ws.x[p, :]
@@ -235,7 +253,7 @@ def _refresh(ws: SearchWorkspace) -> None:
     """Rebuild posteriors by direct solve to stop round-off drift."""
     k = len(ws.order)
     if k == 0:
-        ws.C = np.zeros((ws.L, 0, 0), dtype=np.complex128)
+        ws.C = np.zeros((ws.J.shape[0], 0, 0), dtype=np.complex128)
         ws.x = np.zeros((0, ws.L), dtype=np.complex128)
         return
     A = ws.J[:, ws.order][:, :, ws.order] + np.eye(k) / ws.tau
@@ -244,7 +262,7 @@ def _refresh(ws: SearchWorkspace) -> None:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior system not invertible: {exc}") from exc
     ws.C = 0.5 * (C + np.conj(np.swapaxes(C, 1, 2)))
-    ws.x = np.einsum("lij,jl->il", ws.C, ws.H[ws.order, :])
+    ws.x = np.einsum("lij,jl->il", ws.per_snapshot(ws.C), ws.H[ws.order, :])
 
 
 def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
@@ -256,14 +274,14 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
     log_odds = ws.log_odds()
 
     if inactive:
-        Jsel = ws.J[:, active][:, :, inactive]                # (L, s, m)
-        T = ws.C @ Jsel                                       # (L, s, m)
+        Jsel = ws.J[:, active][:, :, inactive]                # (L or 1, s, m)
+        T = ws.C @ Jsel                                       # (L or 1, s, m)
         quad = np.einsum("lsm,lsm->lm", np.conj(Jsel), T).real
         denom = (ws.tr_inv + 1.0 / ws.tau)[:, None] - quad
         if np.any(denom <= 0):
             raise NumericalError("nonpositive Schur complement in candidate sweep")
         v = 1.0 / denom
-        cross = np.einsum("lsm,sl->lm", np.conj(Jsel), ws.x)
+        cross = np.einsum("lsm,sl->lm", ws.per_snapshot(np.conj(Jsel)), ws.x)
         u = v * (ws.H[inactive, :].T - cross)
         deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
 
@@ -298,10 +316,12 @@ def greedy_search(ws: SearchWorkspace) -> tuple[SupportState, SearchWorkspace]:
 def extract_sorted(ws: SearchWorkspace) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Posterior means/covariances reordered to ascending support indices.
 
-    Returns ``(indices, x, C)`` with x of shape (k, L) and C of shape (L, k, k).
+    Returns ``(indices, x, C)`` with x of shape (k, L) and C of shape
+    (L, k, k).  A shared covariance comes back as a read-only view repeated
+    over the L snapshots, because callers sum per-snapshot quantities over l.
     """
     perm = np.argsort(ws.order)
     indices = tuple(ws.order[p] for p in perm)
     x = ws.x[perm, :]
-    C = ws.C[:, perm][:, :, perm]
+    C = ws.per_snapshot(ws.C[:, perm][:, :, perm])
     return indices, x, C

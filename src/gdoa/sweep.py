@@ -28,6 +28,7 @@ from .crb import CrbParameterization, SingularFimError, crb_frequencies
 from .inference import ALGORITHM_CASES, RunOptions, run
 from .metrics import EXACT_DB, gated_freq_mse, nmse_ratio
 from .model import ScenarioConfig, synthesize_scene, theta_to_omega
+from .support_search import NumericalError
 
 SWEEP_AXES = ("snr_db", "delta_nu_db")
 KNOWN_ALGORITHMS = tuple(ALGORITHM_CASES) + ("CBF",)
@@ -124,7 +125,12 @@ def _cbf_peak_omegas(Y, K: int) -> np.ndarray | None:
 
 
 def run_trial(config: SweepConfig, value: float, trial: int, seed: int) -> list[TrialRecord]:
-    """Synthesize one scene and run every requested algorithm on it."""
+    """Synthesize one scene and run every requested algorithm on it.
+
+    An estimator run that fails numerically is recorded as a failed trial for
+    that algorithm (no components, wrong order, no errors) and the other
+    algorithms still run.
+    """
     scenario = replace(config.base, **{config.sweep_axis: value}, seed=seed)
     scene, snap = synthesize_scene(scenario)
     K, N = scenario.K, scenario.M
@@ -152,7 +158,15 @@ def run_trial(config: SweepConfig, value: float, trial: int, seed: int) -> list[
                 crb_trace=crb_trace, runtime_s=runtime,
             ))
             continue
-        result = run(snap, n_components=N, case=ALGORITHM_CASES[algo], options=RunOptions())
+        try:
+            result = run(snap, n_components=N, case=ALGORITHM_CASES[algo], options=RunOptions())
+        except NumericalError:
+            records.append(TrialRecord(
+                algorithm=algo, value=value, trial=trial, seed=seed, k_hat=0,
+                order_correct=False, nmse=None, freq_sq_error=None,
+                crb_trace=crb_trace, runtime_s=time.perf_counter() - t0,
+            ))
+            continue
         runtime = time.perf_counter() - t0
         gated = gated_freq_mse(result.omegas, scene.omegas, N) if result.k_hat == K else None
         records.append(TrialRecord(

@@ -21,13 +21,20 @@ def random_moments(rng, M, N, kappa_range=(5.0, 5e3)):
     return np.column_stack([moment_vector(VonMises(mu, k), M) for mu, k in zip(mus, kappas)])
 
 
-def random_instance(rng, M=8, N=8, L=3, k_true=2, snr_db=10.0, rho=0.2, tau=None):
-    """Snapshot data with planted components plus a matching (J, H) pair."""
+def random_instance(rng, M=8, N=8, L=3, k_true=2, snr_db=10.0, rho=0.2, tau=None, tied_axes=()):
+    """Snapshot data with planted components plus a matching (J, H) pair.
+
+    ``tied_axes`` averages the variance grid over those axes and keeps them
+    at length 1, as a noise case's ``tied_axes`` does, so J takes that
+    case's shape.
+    """
     omegas = rng.uniform(-np.pi, np.pi, size=k_true)
     X = (rng.normal(1.0, 0.2, size=(k_true, L)) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(k_true, L))))
     Z = steering_matrix(omegas, M) @ X if k_true else np.zeros((M, L), dtype=complex)
     signal_power = np.sum(np.abs(Z) ** 2) / (M * L) if k_true else 1.0
     nu = random_variances(rng, M, L) * signal_power * 10.0 ** (-snr_db / 10.0)
+    if tied_axes:
+        nu = nu.mean(axis=tied_axes, keepdims=True)
     noise = np.sqrt(nu / 2.0) * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
     Y = Z + noise
     moments = random_moments(rng, M, N)

@@ -3,37 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdoa.metrics import (
-    EXACT_DB,
-    TrialOutcome,
-    gated_freq_mse,
-    model_order_prob,
-    nmse_signal,
-    wrapped_distance,
-)
+from gdoa.metrics import EXACT_DB, gated_freq_mse, nmse_ratio, wrapped_distance
+from gdoa.sweep import _db_of_mean
 
 
 class TestNmse:
     def test_exact_reconstruction_sentinel(self):
         Z = np.ones((3, 2), dtype=complex)
-        assert nmse_signal(Z, Z) == EXACT_DB
+        assert nmse_ratio(Z, Z) == 0.0
+        assert _db_of_mean([nmse_ratio(Z, Z)]) == EXACT_DB  # the table's dB column
 
     def test_zero_estimate_is_zero_db(self):
         Z = np.ones((3, 2), dtype=complex)
-        assert nmse_signal(np.zeros_like(Z), Z) == pytest.approx(0.0, abs=1e-12)
+        assert nmse_ratio(np.zeros_like(Z), Z) == pytest.approx(1.0, rel=1e-15)
 
     def test_relative_perturbation(self):
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        assert nmse_signal(Z * 1.01, Z) == pytest.approx(-40.0, abs=1e-6)
+        assert nmse_ratio(Z * 1.01, Z) == pytest.approx(1e-4, rel=1e-9)
 
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
-            nmse_signal(np.ones((2, 2)), np.zeros((2, 2)))
+            nmse_ratio(np.ones((2, 2)), np.zeros((2, 2)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            nmse_signal(np.ones((2, 2)), np.ones((2, 3)))
+            nmse_ratio(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestGatedFreqMse:
@@ -96,25 +91,3 @@ class TestWrappedDistance:
 
     def test_two_pi_identification(self):
         assert wrapped_distance(0.1, 0.1 + 2 * np.pi) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestModelOrderProb:
-    def test_all_correct(self):
-        outcomes = [TrialOutcome(nmse_db=-10.0, order_correct=True)] * 4
-        assert model_order_prob(outcomes) == 1.0
-
-    def test_none_correct(self):
-        outcomes = [TrialOutcome(nmse_db=-10.0, order_correct=False)] * 3
-        assert model_order_prob(outcomes) == 0.0
-
-    def test_three_of_four(self):
-        outcomes = [TrialOutcome(nmse_db=0.0, order_correct=c) for c in (True, True, True, False)]
-        assert model_order_prob(outcomes) == 0.75
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            model_order_prob([])
-
-    def test_outcome_invariant(self):
-        with pytest.raises(ValueError):
-            TrialOutcome(nmse_db=0.0, order_correct=False, freq_mse_db=-20.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_moments, random_variances, workspace_of
+from gdoa.inference import NoiseCase, update_hyperparams, update_weights_support
 from gdoa.model import steering_matrix
 from gdoa.support_search import (
     SupportState,
@@ -15,20 +16,52 @@ from gdoa.support_search import (
     ln_z,
     make_workspace,
 )
+from test_inference import make_state
+
+
+def per_snapshot_j(inst):
+    """J spread to one (N, N) matrix per snapshot, shared or not."""
+    L, N = inst["H"].shape[1], inst["H"].shape[0]
+    return np.broadcast_to(inst["J"], (L, N, N))
 
 
 def dense_posteriors(inst, order, tau):
     """From-scratch posterior mean/covariance for a given activation order."""
     idx = list(order)
     k = len(idx)
-    L = inst["J"].shape[0]
+    J = per_snapshot_j(inst)
+    L = J.shape[0]
     C = np.zeros((L, k, k), dtype=complex)
     x = np.zeros((k, L), dtype=complex)
     for l in range(L):
-        A = inst["J"][l][np.ix_(idx, idx)] + np.eye(k) / tau
+        A = J[l][np.ix_(idx, idx)] + np.eye(k) / tau
         C[l] = np.linalg.inv(A)
         x[:, l] = C[l] @ inst["H"][idx, l]
     return C, x
+
+
+def dense_score(inst, indices, rho, tau):
+    """ln_z by one direct inverse per snapshot."""
+    idx = list(indices)
+    k = len(idx)
+    score = k * (np.log(rho) - np.log1p(-rho))
+    for l, J_l in enumerate(per_snapshot_j(inst)):
+        A = J_l[np.ix_(idx, idx)] + np.eye(k) / tau
+        h = inst["H"][idx, l]
+        score -= np.linalg.slogdet(A)[1] + k * np.log(tau) - np.vdot(h, np.linalg.solve(A, h)).real
+    return score
+
+
+def head_compute_jh(A, nu, Y):
+    """compute_jh on a full (M, L) grid as it was when every case built L Grams."""
+    W = 1.0 / nu
+    Ah = A.conj().T
+    J = (Ah[None, :, :] * W.T[:, None, :]) @ A
+    tr = W.sum(axis=0)
+    idx = np.arange(A.shape[1])
+    J[:, idx, idx] = tr[:, None]
+    H = Ah @ (W * Y)
+    return J, H
 
 
 def support_vec(n, indices):
@@ -80,6 +113,90 @@ class TestComputeJH:
         bad[0, 0] = 0.0
         with pytest.raises(ValueError):
             compute_jh(inst["moments"], bad, inst["Y"])
+
+
+STRUCTURED = [NoiseCase.I, NoiseCase.II, NoiseCase.III]
+SHARED = [NoiseCase.I, NoiseCase.III]
+
+
+class TestStructuredJ:
+    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    def test_matches_full_grid(self, rng, case):
+        M, N, L = 9, 6, 5
+        for _ in range(10):
+            A = random_moments(rng, M, N)
+            nu = random_variances(rng, M, L).mean(axis=case.tied_axes, keepdims=True)
+            Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+            J, H = compute_jh(A, nu, Y)
+            J_full, H_full = compute_jh(A, np.broadcast_to(nu, (M, L)), Y)
+            assert J.shape == (1 if case in SHARED else L, N, N)
+            assert np.abs(np.broadcast_to(J, J_full.shape) - J_full).max() <= 1e-12 * np.abs(J_full).max()
+            assert np.abs(H - H_full).max() <= 1e-12 * np.abs(H_full).max()
+
+    def test_full_grid_is_bitwise_unchanged(self, rng):
+        M, N, L = 12, 9, 7
+        A = random_moments(rng, M, N)
+        nu = random_variances(rng, M, L)
+        Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        for got, want in zip(compute_jh(A, nu, Y), head_compute_jh(A, nu, Y)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
+    def test_shared_j_flips_match_dense(self, rng, case):
+        for _ in range(40):
+            inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=case.tied_axes)
+            assert inst["J"].shape == (1, 8, 8)
+            size = int(rng.integers(0, 5))
+            support = tuple(sorted(rng.choice(8, size=size, replace=False).tolist()))
+            ws = workspace_of(inst, support)
+            base = dense_score(inst, support, inst["rho"], inst["tau"])
+            assert abs(ws.ln_z - base) <= 1e-10 * max(1.0, abs(base))
+            plans = {}
+            for k in range(8):
+                flipped = set(support) ^ {k}
+                expected = dense_score(inst, sorted(flipped), inst["rho"], inst["tau"]) - base
+                if k in support:
+                    got = delta_deactivate(k, ws)
+                else:
+                    got, plans[k] = delta_activate(k, ws)
+                assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+            k = int(rng.integers(0, 8))
+            apply_flip(k, ws, plans.get(k))
+            assert ws.C.shape[0] == 1 and ws.x.shape == (len(ws.order), 4)
+            C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
+            if ws.order:
+                assert np.abs(ws.C - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())
+                assert np.abs(ws.x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
+
+    @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
+    def test_extract_sorted_spreads_shared_covariance(self, rng, case):
+        inst = random_instance(rng, L=4, tied_axes=case.tied_axes)
+        ws = workspace_of(inst, (5, 2))
+        indices, x, C = extract_sorted(ws)
+        assert C.shape == (4, 2, 2)
+        C_ref, x_ref = dense_posteriors(inst, indices, inst["tau"])
+        np.testing.assert_allclose(C, C_ref, atol=1e-10)
+        np.testing.assert_allclose(x, x_ref, atol=1e-10)
+
+    @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
+    def test_tau_sums_the_shared_covariance_over_snapshots(self, rng, case):
+        M, L = 8, 5
+        state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=case)
+        X = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, L)))
+        Y = state.moments[:, [0, 2, 5]] @ X + 0.1 * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+        tau0 = state.hyper.tau
+        update_weights_support(state, Y)
+        S = list(state.support.active_set)
+        assert S
+        J, H = compute_jh(state.moments, np.array(state.noise.full_grid(M, L)), Y)
+        energy = trace = 0.0
+        for l in range(L):
+            C_l = np.linalg.inv(J[l][np.ix_(S, S)] + np.eye(len(S)) / tau0)
+            energy += np.sum(np.abs(C_l @ H[S, l]) ** 2)
+            trace += np.trace(C_l).real
+        update_hyperparams(state)
+        assert state.weight_covs.shape == (L, len(S), len(S))
+        assert state.hyper.tau == pytest.approx((energy + trace) / (L * len(S)), rel=1e-10)
 
 
 class TestLnZ:

@@ -1,10 +1,13 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gdoa import sweep
 from gdoa.model import NoiseCase, ScenarioConfig, synthesize_scene
+from gdoa.support_search import NumericalError
 from gdoa.sweep import (
     SweepConfig,
     run_sweep,
@@ -50,8 +53,6 @@ class TestTrialPairing:
         assert {r.algorithm for r in records} == {"MVALSE", "MVHN-S"}
         assert len({r.seed for r in records}) == 1
         # same seed renders the same snapshots
-        from dataclasses import replace
-
         scen = replace(cfg.base, snr_db=10.0, seed=seed)
         _, y1 = synthesize_scene(scen)
         _, y2 = synthesize_scene(scen)
@@ -96,6 +97,35 @@ class TestRunSweep:
         a = run_sweep(cfg)
         b = run_sweep(cfg, master_seed=1)
         assert a.records[0].seed != b.records[0].seed
+
+    def test_numerical_failure_fails_one_trial(self, tmp_path, monkeypatch):
+        cfg = small_sweep(trials=2)
+        clean = run_sweep(cfg)
+        real_run = sweep.run
+        calls = []
+
+        def run_failing_third_call(*args, **kwargs):
+            calls.append(kwargs["case"])
+            if len(calls) == 3:  # MVALSE on the second trial of the first value
+                raise NumericalError("injected")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "run", run_failing_third_call)
+        tables = []
+        for _ in range(2):
+            calls.clear()
+            tables.append(run_sweep(cfg))
+        failed = tables[0].records[2]
+        assert (failed.algorithm, failed.value, failed.trial) == ("MVALSE", 10.0, 1)
+        assert (failed.k_hat, failed.order_correct, failed.nmse, failed.freq_sq_error) == (0, False, None, None)
+        assert failed.crb_trace == clean.records[2].crb_trace
+        for i, (got, want) in enumerate(zip(tables[0].records, clean.records)):
+            if i != 2:
+                assert replace(got, runtime_s=0.0) == replace(want, runtime_s=0.0)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, table in zip(paths, tables):
+            write_result_table(path, table)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_cbf_rows(self, tmp_path):
         cfg = small_sweep(algorithms=("CBF",), trials=2, include_crb=False)
