@@ -24,7 +24,7 @@ import numpy as np
 
 from .circular import VonMises, _next_pow2, approximate_posterior, moment_vector
 from .model import NoiseCase, SnapshotMatrix
-from .support_search import SupportState, compute_jh, extract_sorted, greedy_search, make_workspace
+from .support_search import SupportState, compute_jh, greedy_search, make_workspace
 
 ALGORITHM_CASES = {
     "MVALSE": NoiseCase.I,
@@ -144,7 +144,10 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     if not 1 <= N <= M:
         raise ValueError(f"component budget must satisfy 1 <= N <= M, got N={N}, M={M}")
 
-    mean_power = float(np.sum(np.abs(Y) ** 2)) / (M * L)
+    with np.errstate(over="ignore"):
+        mean_power = float(np.sum(np.abs(Y) ** 2)) / (M * L)
+    if not np.isfinite(mean_power):
+        raise ValueError("sample power overflows float64; rescale the snapshots")
     floor = NOISE_FLOOR_SCALE * mean_power if mean_power > 0 else NOISE_FLOOR_SCALE
     nu0 = max(INIT_NOISE_FRACTION * mean_power, floor)
     noise = NoiseEstimate(case=case, values=np.full(case.value_shape(M, L), nu0))
@@ -204,7 +207,7 @@ def frequency_eta(state: InferenceState, Y: np.ndarray, i: int, inv_variances: n
     resid_i = Y - A_S @ X + np.outer(A_S[:, p], X[p, :])
     cov_col = state.weight_covs[:, :, p]                       # (L, k)
     cov_term = A_S @ cov_col.T - np.outer(A_S[:, p], state.weight_covs[:, p, p])
-    w = 1.0 / state.noise.full_grid(M, L) if inv_variances is None else inv_variances
+    w = 1.0 / state.noise.compact_grid(M, L) if inv_variances is None else inv_variances
     return (2.0 * w * (resid_i * np.conj(X[p, :])[None, :] - cov_term)).sum(axis=1)
 
 
@@ -216,7 +219,7 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
     their last belief.
     """
     M, L = Y.shape
-    w = 1.0 / state.noise.full_grid(M, L)
+    w = 1.0 / state.noise.compact_grid(M, L)
     for i in state.support.active_set:
         eta = frequency_eta(state, Y, i, inv_variances=w)
         vm = approximate_posterior(eta)
@@ -230,11 +233,9 @@ def update_weights_support(state: InferenceState, Y: np.ndarray) -> InferenceSta
     M, L = Y.shape
     J, H = compute_jh(state.moments, state.noise.compact_grid(M, L), Y)
     ws = make_workspace(J, H, state.hyper.rho, state.hyper.tau, support=state.support.active_set)
-    support, ws = greedy_search(ws)
-    indices, x, C = extract_sorted(ws)
-    state.support = support
-    state.weight_means = x
-    state.weight_covs = C
+    state.support, ws = greedy_search(ws)
+    state.weight_means = ws.x
+    state.weight_covs = ws.per_snapshot(ws.C)
     return state
 
 
@@ -298,6 +299,8 @@ def run(
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2:
         raise ValueError(f"snapshot matrix must be 2-D, got shape {Y.shape}")
+    if Y.shape[0] < 2 or Y.shape[1] < 1:
+        raise ValueError(f"snapshot matrix needs at least 2 antennas (rows) and 1 snapshot, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("snapshot matrix contains non-finite entries")
     options = options or RunOptions()

@@ -6,26 +6,25 @@ The score of a binary activation vector s with active set S is
               - sum_l [ ln det(A_l) + |S| * ln(tau) - H_{S,l}^H A_l^{-1} H_{S,l} ]
 
 with ``A_l = [J_l]_S + I/tau``.  The greedy search flips one bit at a time,
-always the one with the largest score gain, and keeps the per-snapshot
-posterior mean/covariance pair consistent with the current support through
-bordered-block (activation) and Schur-complement (deactivation) updates, so
-no full matrix inversion happens on the hot path.
+always the one with the largest score gain.  The per-snapshot weight
+posterior ``C_l = A_l^{-1}``, ``x_l = C_l H_{S,l}`` has one source: a direct
+solve for the current support, redone after every flip.  The gains of all N
+candidate flips are read off that posterior in a single batched pass.
 
 The workspace stores the quadratic forms and covariances as stacked
 (L, N, N) and (L, k, k) arrays, or as a single (1, N, N) / (1, k, k) slice
 when every snapshot shares them (noise Cases I and III); the per-snapshot
-weights x and linear terms H always carry L columns.  Candidate gains for a
-whole sweep are evaluated in a single batched pass.
+weights x and linear terms H always carry L columns.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-REFRESH_EVERY = 50  # accepted flips between direct-solve rebuilds
 FLIP_BUDGET_FACTOR = 10
 
 
@@ -60,9 +59,9 @@ class SupportState:
 class SearchWorkspace:
     """Cached quadratic-form data for one greedy search.
 
-    ``order`` lists the active indices in activation order; ``C`` and ``x``
-    are indexed accordingly.  Invariants (restored by ``_refresh`` every
-    ``REFRESH_EVERY`` flips): C_l = ([J_l]_order + I/tau)^{-1} and
+    ``order`` lists the active indices in ascending order; ``C`` and ``x``
+    are indexed accordingly.  Invariants, restored by ``_refresh`` after
+    every flip: C_l = ([J_l]_order + I/tau)^{-1} and
     x[:, l] = C_l @ H[order, l].  ``J`` and ``C`` have a leading axis of
     length L, or of length 1 when one slice stands for every snapshot; the
     snapshot count comes from ``H``.
@@ -146,7 +145,7 @@ def make_workspace(J: np.ndarray, H: np.ndarray, rho: float, tau: float, support
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     ws = SearchWorkspace(J=np.asarray(J), H=np.asarray(H), rho=float(rho), tau=float(tau),
-                         order=[int(i) for i in support])
+                         order=sorted(int(i) for i in support))
     _refresh(ws)
     return ws
 
@@ -179,78 +178,33 @@ def ln_z(s, workspace: SearchWorkspace) -> float:
     return _score(workspace.J, workspace.H, workspace.rho, workspace.tau, np.flatnonzero(s))
 
 
-def delta_activate(k: int, ws: SearchWorkspace):
-    """Score gain for activating inactive index k, plus the flip scratch.
-
-    Returns ``(delta, plan)`` where plan holds, per snapshot, the bordered
-    corner ``v``, the new weight ``u`` and the cross vector ``t = C_l J_{S,k}``
-    consumed by :func:`apply_flip`.
-    """
+def delta_activate(k: int, ws: SearchWorkspace) -> float:
+    """Score gain for activating inactive index k."""
     if k in ws.order:
         raise ValueError(f"index {k} is already active")
-    jk = ws.J[:, ws.order, k]                       # (L or 1, s)
-    t = (ws.C @ jk[:, :, None])[..., 0]             # (L or 1, s)
-    quad = np.einsum("ls,ls->l", np.conj(jk), t).real
-    denom = ws.tr_inv + 1.0 / ws.tau - quad
-    if np.any(denom <= 0):
-        raise NumericalError(f"nonpositive Schur complement while activating {k}")
-    v = 1.0 / denom
-    cross = np.einsum("ls,sl->l", ws.per_snapshot(np.conj(jk)), ws.x)
-    u = v * (ws.H[k, :] - cross)
-    delta = float((np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum()) + ws.log_odds()
-    return delta, {"k": k, "v": v, "u": u, "t": t}
+    return float(_sweep_deltas(ws)[k])
 
 
 def delta_deactivate(k: int, ws: SearchWorkspace) -> float:
-    """Score gain for deactivating active index k (read off cached posteriors)."""
+    """Score gain for deactivating active index k."""
     if k not in ws.order:
         raise ValueError(f"index {k} is not active")
-    p = ws.order.index(k)
-    cpp = ws.C[:, p, p].real
-    if np.any(cpp <= 0):
-        raise NumericalError(f"nonpositive posterior variance while deactivating {k}")
-    delta = -float((np.log(cpp / ws.tau) + np.abs(ws.x[p, :]) ** 2 / cpp).sum()) - ws.log_odds()
-    return delta
+    return float(_sweep_deltas(ws)[k])
 
 
-def apply_flip(k: int, ws: SearchWorkspace, plan=None) -> SearchWorkspace:
-    """Flip index k in place, updating posteriors by block formulas.
-
-    Activation needs the ``plan`` returned by :func:`delta_activate`;
-    deactivation reads everything from the cache.
-    """
-    if k not in ws.order:
-        if plan is None or plan.get("k") != k:
-            raise ValueError("activation requires the matching plan from delta_activate")
-        v, u, t = plan["v"], plan["u"], plan["t"]
-        s = len(ws.order)
-        C_new = np.empty((ws.C.shape[0], s + 1, s + 1), dtype=np.complex128)
-        C_new[:, :s, :s] = ws.C + v[:, None, None] * (t[:, :, None] * np.conj(t)[:, None, :])
-        C_new[:, :s, s] = -v[:, None] * t
-        C_new[:, s, :s] = -v[:, None] * np.conj(t)
-        C_new[:, s, s] = v
-        ws.C = C_new
-        ws.x = np.vstack([ws.x - (t * u[:, None]).T, u[None, :]])
-        ws.order.append(k)
+def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
+    """Flip index k in place and re-solve the posteriors of the new support."""
+    if k in ws.order:
+        ws.order.remove(k)
     else:
-        p = ws.order.index(k)
-        cpp = ws.C[:, p, p].real
-        if np.any(cpp <= 0):
-            raise NumericalError(f"nonpositive posterior variance while deactivating {k}")
-        col = np.delete(ws.C[:, :, p], p, axis=1)   # (L or 1, s-1)
-        C_red = np.delete(np.delete(ws.C, p, axis=1), p, axis=2)
-        ws.C = C_red - (col[:, :, None] * np.conj(col)[:, None, :]) / cpp[:, None, None]
-        xp = ws.x[p, :]
-        ws.x = np.delete(ws.x, p, axis=0) - (col * (xp / cpp)[:, None]).T
-        del ws.order[p]
+        bisect.insort(ws.order, k)
     ws.flips += 1
-    if ws.flips % REFRESH_EVERY == 0:
-        _refresh(ws)
+    _refresh(ws)
     return ws
 
 
 def _refresh(ws: SearchWorkspace) -> None:
-    """Rebuild posteriors by direct solve to stop round-off drift."""
+    """Solve the posteriors of the current support directly."""
     k = len(ws.order)
     if k == 0:
         ws.C = np.zeros((ws.J.shape[0], 0, 0), dtype=np.complex128)
@@ -305,23 +259,6 @@ def greedy_search(ws: SearchWorkspace) -> tuple[SupportState, SearchWorkspace]:
         k_star = int(np.argmax(deltas))
         if not deltas[k_star] > 0:
             return SupportState.from_indices(ws.N, ws.order), ws
-        if k_star in ws.order:
-            apply_flip(k_star, ws)
-        else:
-            _, plan = delta_activate(k_star, ws)
-            apply_flip(k_star, ws, plan)
+        apply_flip(k_star, ws)
     raise NumericalError(f"support search did not terminate within {budget} flips")
 
-
-def extract_sorted(ws: SearchWorkspace) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Posterior means/covariances reordered to ascending support indices.
-
-    Returns ``(indices, x, C)`` with x of shape (k, L) and C of shape
-    (L, k, k).  A shared covariance comes back as a read-only view repeated
-    over the L snapshots, because callers sum per-snapshot quantities over l.
-    """
-    perm = np.argsort(ws.order)
-    indices = tuple(ws.order[p] for p in perm)
-    x = ws.x[perm, :]
-    C = ws.per_snapshot(ws.C[:, perm][:, :, perm])
-    return indices, x, C

@@ -1,11 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 
 import gdoa.cli
 import gdoa.crb
 from gdoa import io
 from gdoa.cli import main
+from gdoa.model import SnapshotMatrix
 from gdoa.support_search import NumericalError
 
 
@@ -91,6 +93,22 @@ class TestSynthEstimate:
         code = main(["estimate", str(tmp_path / "d.snapshots.txt"), "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "error: posterior system not invertible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 0)], ids=["one-antenna", "no-snapshot"])
+    def test_too_small_array_names_the_cause(self, tmp_path, capsys, shape):
+        path = tmp_path / "y.txt"
+        io.write_snapshots(path, SnapshotMatrix(np.ones(shape, dtype=complex)))
+        code = main(["estimate", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: snapshot matrix needs at least 2 antennas (rows) and 1 snapshot, got shape {shape}\n")
+
+    def test_overflowing_power_names_the_cause(self, tmp_path, capsys):
+        path = tmp_path / "y.txt"
+        io.write_snapshots(path, SnapshotMatrix(np.full((4, 3), 1e300, dtype=complex)))
+        code = main(["estimate", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sample power overflows float64; rescale the snapshots\n"
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -11,7 +11,6 @@ from gdoa.support_search import (
     compute_jh,
     delta_activate,
     delta_deactivate,
-    extract_sorted,
     greedy_search,
     ln_z,
     make_workspace,
@@ -62,6 +61,13 @@ def head_compute_jh(A, nu, Y):
     J[:, idx, idx] = tr[:, None]
     H = Ah @ (W * Y)
     return J, H
+
+
+def assert_is_fresh(ws, inst):
+    """The workspace holds exactly what a direct build at its support gives, in ascending order."""
+    assert ws.order == sorted(ws.order)
+    fresh = make_workspace(inst["J"], inst["H"], inst["rho"], inst["tau"], support=ws.order)
+    assert np.array_equal(ws.C, fresh.C) and np.array_equal(ws.x, fresh.x)
 
 
 def support_vec(n, indices):
@@ -151,17 +157,16 @@ class TestStructuredJ:
             ws = workspace_of(inst, support)
             base = dense_score(inst, support, inst["rho"], inst["tau"])
             assert abs(ws.ln_z - base) <= 1e-10 * max(1.0, abs(base))
-            plans = {}
             for k in range(8):
                 flipped = set(support) ^ {k}
                 expected = dense_score(inst, sorted(flipped), inst["rho"], inst["tau"]) - base
                 if k in support:
                     got = delta_deactivate(k, ws)
                 else:
-                    got, plans[k] = delta_activate(k, ws)
+                    got = delta_activate(k, ws)
                 assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
             k = int(rng.integers(0, 8))
-            apply_flip(k, ws, plans.get(k))
+            apply_flip(k, ws)
             assert ws.C.shape[0] == 1 and ws.x.shape == (len(ws.order), 4)
             C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
             if ws.order:
@@ -169,14 +174,15 @@ class TestStructuredJ:
                 assert np.abs(ws.x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
-    def test_extract_sorted_spreads_shared_covariance(self, rng, case):
+    def test_per_snapshot_spreads_shared_covariance(self, rng, case):
         inst = random_instance(rng, L=4, tied_axes=case.tied_axes)
         ws = workspace_of(inst, (5, 2))
-        indices, x, C = extract_sorted(ws)
+        assert ws.order == [2, 5]
+        C = ws.per_snapshot(ws.C)
         assert C.shape == (4, 2, 2)
-        C_ref, x_ref = dense_posteriors(inst, indices, inst["tau"])
+        C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
         np.testing.assert_allclose(C, C_ref, atol=1e-10)
-        np.testing.assert_allclose(x, x_ref, atol=1e-10)
+        np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
     def test_tau_sums_the_shared_covariance_over_snapshots(self, rng, case):
@@ -228,7 +234,7 @@ class TestLnZ:
                 if k in support:
                     got = delta_deactivate(k, ws)
                 else:
-                    got, _ = delta_activate(k, ws)
+                    got = delta_activate(k, ws)
                 assert got == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
 
@@ -236,18 +242,18 @@ class TestDeltas:
     def test_activate_from_empty_support(self, rng):
         inst = random_instance(rng)
         ws = workspace_of(inst)
-        delta, plan = delta_activate(3, ws)
+        apply_flip(3, ws)
         tr = (1.0 / inst["nu"]).sum(axis=0)
         v_expected = 1.0 / (tr + 1.0 / inst["tau"])
-        np.testing.assert_allclose(plan["v"], v_expected, rtol=1e-13)
-        np.testing.assert_allclose(plan["u"], v_expected * inst["H"][3, :], rtol=1e-13)
+        np.testing.assert_allclose(ws.C[:, 0, 0], v_expected, rtol=1e-13)
+        np.testing.assert_allclose(ws.x[0], v_expected * inst["H"][3, :], rtol=1e-13)
 
     def test_singleton_flip_symmetry(self, rng):
         inst = random_instance(rng)
         k = 2
         ws_single = workspace_of(inst, (k,))
         ws_empty = workspace_of(inst)
-        act, _ = delta_activate(k, ws_empty)
+        act = delta_activate(k, ws_empty)
         assert delta_deactivate(k, ws_single) == pytest.approx(-act, rel=1e-10)
 
     def test_strong_component_never_pruned(self, rng):
@@ -268,8 +274,7 @@ class TestApplyFlip:
         inst = random_instance(rng)
         ws = workspace_of(inst, (1, 5))
         C0, x0 = ws.C.copy(), ws.x.copy()
-        _, plan = delta_activate(3, ws)
-        apply_flip(3, ws, plan)
+        apply_flip(3, ws)
         apply_flip(3, ws)
         np.testing.assert_allclose(ws.C, C0, atol=1e-10)
         np.testing.assert_allclose(ws.x, x0, atol=1e-10)
@@ -280,12 +285,7 @@ class TestApplyFlip:
             size = rng.integers(0, 4)
             support = tuple(sorted(rng.choice(8, size=size, replace=False).tolist()))
             ws = workspace_of(inst, support)
-            k = int(rng.integers(0, 8))
-            if k in ws.order:
-                apply_flip(k, ws)
-            else:
-                _, plan = delta_activate(k, ws)
-                apply_flip(k, ws, plan)
+            apply_flip(int(rng.integers(0, 8)), ws)
             C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
             np.testing.assert_allclose(ws.C, C_ref, atol=1e-10)
             np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
@@ -293,20 +293,20 @@ class TestApplyFlip:
     def test_hermitian_preserved_over_many_flips(self, rng):
         inst = random_instance(rng)
         ws = workspace_of(inst)
-        for t in range(120):  # crosses the periodic direct-solve refresh
-            k = int(rng.integers(0, 8))
-            if k in ws.order:
-                apply_flip(k, ws)
-            else:
-                _, plan = delta_activate(k, ws)
-                apply_flip(k, ws, plan)
+        for t in range(120):
+            apply_flip(int(rng.integers(0, 8)), ws)
             herm_gap = np.abs(ws.C - np.conj(np.swapaxes(ws.C, 1, 2))).max() if ws.order else 0.0
             assert herm_gap <= 1e-12
 
-    def test_activation_needs_plan(self, rng):
-        ws = workspace_of(random_instance(rng))
-        with pytest.raises(ValueError):
-            apply_flip(0, ws)
+    def test_flips_match_fresh_workspace_bitwise(self, rng):
+        for trial in range(200):
+            case = list(NoiseCase)[trial % 4]
+            inst = random_instance(rng, L=3, k_true=int(rng.integers(0, 3)), tied_axes=case.tied_axes)
+            size = int(rng.integers(0, 5))
+            ws = workspace_of(inst, rng.choice(8, size=size, replace=False).tolist())
+            for _ in range(3):
+                apply_flip(int(rng.integers(0, 8)), ws)
+                assert_is_fresh(ws, inst)
 
 
 class TestGreedySearch:
@@ -324,11 +324,7 @@ class TestGreedySearch:
             k = int(np.argmax(deltas))
             if deltas[k] <= 0:
                 break
-            if k in ws.order:
-                apply_flip(k, ws)
-            else:
-                _, plan = delta_activate(k, ws)
-                apply_flip(k, ws, plan)
+            apply_flip(k, ws)
             scores.append(ws.ln_z)
         assert np.all(np.diff(scores) > 0)
 
@@ -347,6 +343,13 @@ class TestGreedySearch:
         support, _ = greedy_search(workspace_of(inst))
         assert {0, 1} <= set(support.active_set)
 
+    def test_result_matches_fresh_workspace_bitwise(self, rng):
+        for _ in range(50):
+            inst = random_instance(rng, k_true=int(rng.integers(0, 4)), snr_db=float(rng.uniform(0, 20)))
+            support, ws = greedy_search(workspace_of(inst))
+            assert support.active_set == tuple(ws.order)
+            assert_is_fresh(ws, inst)
+
     def test_deterministic(self, rng):
         inst = random_instance(rng, k_true=2)
         s1, _ = greedy_search(workspace_of(inst))
@@ -355,17 +358,15 @@ class TestGreedySearch:
 
 
 class TestWorkspace:
-    def test_extract_sorted_reorders(self, rng):
+    def test_order_stays_ascending(self, rng):
         inst = random_instance(rng)
         ws = workspace_of(inst)
         for k in (5, 1, 3):
-            _, plan = delta_activate(k, ws)
-            apply_flip(k, ws, plan)
-        indices, x, C = extract_sorted(ws)
-        assert indices == (1, 3, 5)
-        C_ref, x_ref = dense_posteriors(inst, indices, inst["tau"])
-        np.testing.assert_allclose(x, x_ref, atol=1e-10)
-        np.testing.assert_allclose(C, C_ref, atol=1e-10)
+            apply_flip(k, ws)
+        assert ws.order == [1, 3, 5]
+        C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
+        np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
+        np.testing.assert_allclose(ws.C, C_ref, atol=1e-10)
 
     def test_invalid_hyper_rejected(self, rng):
         inst = random_instance(rng)
