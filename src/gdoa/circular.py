@@ -102,17 +102,6 @@ def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
 
-_GRID_CACHE: dict[int, np.ndarray] = {}
-
-
-def _grid_angles(G: int) -> np.ndarray:
-    angles = _GRID_CACHE.get(G)
-    if angles is None:
-        angles = 2.0 * np.pi * np.arange(G) / G
-        _GRID_CACHE[G] = angles
-    return angles
-
-
 def _series_eval(eta_conj: np.ndarray, orders: np.ndarray, omega: float):
     """Value, first and second derivative of the cosine-series log-density at omega."""
     t = eta_conj * np.exp(1j * orders * omega)
@@ -145,8 +134,7 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
 
     G = _next_pow2(GRID_OVERSAMPLE * M)
     grid = (np.fft.ifft(eta_conj, n=G) * G).real
-    omegas = _grid_angles(G)
-    omega = omegas[int(np.argmax(grid))]
+    omega = 2.0 * np.pi * int(np.argmax(grid)) / G
 
     max_step = 2.0 * np.pi / G
     tol = GRAD_TOL * max(1.0, scale)
@@ -155,7 +143,7 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
         if abs(fp) <= tol or fpp >= 0.0:
             break
         step = fp / fpp
-        step = np.clip(step, -max_step, max_step)
+        step = min(max(step, -max_step), max_step)
         candidate = omega - step
         fc, fpc, fppc = _series_eval(eta_conj, orders, candidate)
         halvings = 0

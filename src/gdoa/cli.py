@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,8 +43,6 @@ def _add_synth(sub):
 def _cmd_synth(args) -> int:
     config = io.read_scenario_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     scene, snap = synthesize_scene(config)
     scene_path = f"{args.out}.scene.json"
@@ -120,18 +119,18 @@ def _add_mc(sub):
 
 
 def _cmd_mc(args) -> int:
-    from dataclasses import replace
-
     config = io.read_sweep_config(args.config)
     if args.trials is not None:
         config = replace(config, trials=args.trials)
     out = args.out or config.output_path
     if out is None:
         raise ValueError("no output path: give --out or set 'output_path' in the sweep config")
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = int(os.environ.get("GDOA_WORKERS", "1"))
+    workers = args.workers
+    if workers is None:
+        try:
+            workers = int(os.environ.get("GDOA_WORKERS", "1"))
+        except ValueError:
+            raise ValueError(f"GDOA_WORKERS must be an integer, got {os.environ['GDOA_WORKERS']!r}") from None
     table = run_sweep(config, master_seed=args.seed, workers=max(1, workers))
     write_result_table(out, table)
     if args.per_trial_log:

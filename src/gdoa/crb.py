@@ -137,13 +137,16 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
     of any unbiased frequency estimator.  Raises :class:`SingularFimError` for
     provably or numerically singular problems (a zero amplitude, duplicate or
     near-coincident frequencies, a reduced information with condition number
-    beyond 1e12).
+    beyond 1e12, no frequencies).  One eigendecomposition per matrix gives
+    its condition number, the projection and the inverse.
     """
     nu = _noise_grid(params, noise)
     if np.any(params.g <= 0):
         raise SingularFimError(
             "zero amplitude makes the corresponding phase unidentifiable; FIM is singular"
         )
+    if params.K == 0:
+        raise SingularFimError("no frequencies to bound; the frequency information is empty")
     m = np.arange(nu.shape[0], dtype=float)[:, None]
     wa = (1.0 / np.sqrt(nu)).T[:, :, None] * np.exp(1j * m * params.omegas)  # (L, M, K)
     # W_l D = 1j * m * W_l A; the factor 1j cancels in (W_l D)^H P_l (W_l D).
@@ -151,24 +154,23 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
     wa_h = np.conj(np.swapaxes(wa, 1, 2))
     x = params.g * np.exp(1j * params.phi)                                   # (K, L)
     try:
-        gram = wa_h @ wa
-        gram_cond = np.max(np.linalg.cond(gram))
-        if not np.isfinite(gram_cond) or gram_cond > COND_LIMIT:
-            raise SingularFimError(
-                f"steering Gram condition number {gram_cond:.3e} exceeds {COND_LIMIT:.0e}; "
-                "frequencies are duplicate or nearly coincident"
-            )
-        resid = wd - wa @ np.linalg.solve(gram, wa_h @ wd)                  # P_l (W_l D)
+        lam, V = _eigh_conditioned(wa_h @ wa, "steering Gram",
+                                   "frequencies are duplicate or nearly coincident")
+        coef = V @ ((np.conj(np.swapaxes(V, 1, 2)) @ (wa_h @ wd)) / lam[:, :, None])
+        resid = wd - wa @ coef                                               # P_l (W_l D)
         outer = np.conj(x.T)[:, :, None] * x.T[:, None, :]                   # (L, K, K)
         info = 2.0 * ((np.conj(np.swapaxes(wd, 1, 2)) @ resid) * outer).real.sum(axis=0)
-        cond = np.linalg.cond(info)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularFimError(
-                f"reduced frequency information condition number {cond:.3e} exceeds "
-                f"{COND_LIMIT:.0e}; bounds would be meaningless"
-            )
-        chol_inv = np.linalg.inv(np.linalg.cholesky(info))
+        lam, V = _eigh_conditioned(info, "reduced frequency information", "bounds would be meaningless")
     except np.linalg.LinAlgError as exc:
         raise SingularFimError(f"frequency information factorization failed: {exc}") from exc
-    return chol_inv.T @ chol_inv
+    half = V / np.sqrt(lam)
+    return half @ half.T
 
+
+def _eigh_conditioned(a: np.ndarray, what: str, consequence: str):
+    """``eigh(a)``; a condition number lambda_max/lambda_min above COND_LIMIT, or lambda_min <= 0, is singular."""
+    lam, V = np.linalg.eigh(a)
+    cond = float(np.max(lam[..., -1] / lam[..., 0])) if np.all(lam[..., 0] > 0) else np.inf
+    if not cond <= COND_LIMIT:
+        raise SingularFimError(f"{what} condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; {consequence}")
+    return lam, V

@@ -97,7 +97,7 @@ class InferenceState:
     moments: np.ndarray            # (M, N) expected steering vectors
     support: SupportState
     weight_means: np.ndarray       # (k, L), rows in ascending support order
-    weight_covs: np.ndarray        # (L, k, k), same ordering
+    weight_covs: np.ndarray        # (L, k, k), same ordering; (1, k, k) when shared (Cases I, III)
     hyper: HyperParams
     noise: NoiseEstimate
     noise_floor: float
@@ -126,18 +126,14 @@ def _clamp_rho(rho: float, n: int) -> float:
     return min(max(rho, lo), hi)
 
 
-def _reduce_noise(case: NoiseCase, cell_grid: np.ndarray, floor: float) -> NoiseEstimate:
-    return NoiseEstimate(case=case, values=np.maximum(cell_grid.mean(axis=case.tied_axes), floor))
-
-
 def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     """Deterministic initialization from the data.
 
-    The noise level starts at a fraction of the mean sample power, hyper
-    parameters at uninformative defaults, and the N frequency beliefs are
-    seeded one at a time from the inverse-variance-weighted periodogram of
-    the running residual (strongest remaining peak first, matched-filter
-    weight estimate, then cancellation).  All components start inactive.
+    The noise level starts at one value nu0 in every cell, hyper parameters
+    at uninformative defaults, and the N frequency beliefs are seeded one at
+    a time from the plain periodogram of the running residual (strongest
+    remaining peak first, matched-filter weight estimate, then cancellation).
+    All components start inactive.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     M, L = Y.shape
@@ -158,20 +154,16 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         tau = 1.0
     hyper = HyperParams(rho=rho, tau=tau)
 
-    weights_inv = 1.0 / noise.full_grid(M, L)
-    tr_inv = weights_inv.sum(axis=0)
     G = _next_pow2(16 * M)
 
     residual = Y.copy()
     posteriors: list[VonMises] = []
     moments = np.empty((M, N), dtype=np.complex128)
     for i in range(N):
-        WR = weights_inv * residual
-        spectra = np.fft.fft(WR, n=G, axis=0)          # (G, L): a(w)^H Sigma^{-1} r_l
-        power = (np.abs(spectra) ** 2 / tr_inv[None, :]).sum(axis=1)
-        g_star = int(np.argmax(power))
-        x_hat = spectra[g_star, :] / tr_inv
-        eta = 2.0 * (WR * np.conj(x_hat)[None, :]).sum(axis=1)
+        spectra = np.fft.fft(residual, n=G, axis=0)    # (G, L): a(w)^H r_l
+        g_star = int(np.argmax((np.abs(spectra) ** 2).sum(axis=1)))
+        x_hat = spectra[g_star, :] / M
+        eta = (2.0 / nu0) * (residual * np.conj(x_hat)[None, :]).sum(axis=1)
         vm = approximate_posterior(eta)
         posteriors.append(vm)
         moments[:, i] = moment_vector(vm, M)
@@ -182,7 +174,7 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         moments=moments,
         support=SupportState.from_indices(N, ()),
         weight_means=np.zeros((0, L), dtype=np.complex128),
-        weight_covs=np.zeros((L, 0, 0), dtype=np.complex128),
+        weight_covs=np.zeros((noise.compact_grid(M, L).shape[1], 0, 0), dtype=np.complex128),
         hyper=hyper,
         noise=noise,
         noise_floor=floor,
@@ -205,7 +197,7 @@ def frequency_eta(state: InferenceState, Y: np.ndarray, i: int, inv_variances: n
     A_S = state.moments[:, list(S)]
     X = state.weight_means
     resid_i = Y - A_S @ X + np.outer(A_S[:, p], X[p, :])
-    cov_col = state.weight_covs[:, :, p]                       # (L, k)
+    cov_col = state.weight_covs[:, :, p]                       # (L, k) or (1, k)
     cov_term = A_S @ cov_col.T - np.outer(A_S[:, p], state.weight_covs[:, p, p])
     w = 1.0 / state.noise.compact_grid(M, L) if inv_variances is None else inv_variances
     return (2.0 * w * (resid_i * np.conj(X[p, :])[None, :] - cov_term)).sum(axis=1)
@@ -235,7 +227,7 @@ def update_weights_support(state: InferenceState, Y: np.ndarray) -> InferenceSta
     ws = make_workspace(J, H, state.hyper.rho, state.hyper.tau, support=state.support.active_set)
     state.support, ws = greedy_search(ws)
     state.weight_means = ws.x
-    state.weight_covs = ws.per_snapshot(ws.C)
+    state.weight_covs = ws.C
     return state
 
 
@@ -249,7 +241,7 @@ def update_hyperparams(state: InferenceState) -> InferenceState:
         return state
     L = state.weight_means.shape[1]
     energy = float(np.sum(np.abs(state.weight_means) ** 2))
-    cov_trace = float(np.einsum("lkk->", state.weight_covs).real)
+    cov_trace = float(np.einsum("lkk->", state.weight_covs).real) * (L // state.weight_covs.shape[0])
     tau = (energy + cov_trace) / (L * k)
     state.hyper = HyperParams(rho=rho, tau=max(tau, 1e-100))
     return state
@@ -272,7 +264,8 @@ def noise_cell_quantities(state: InferenceState, Y: np.ndarray) -> np.ndarray:
 def update_noise(state: InferenceState, Y: np.ndarray) -> InferenceState:
     """Reduce the per-cell quantity to the case structure, with a positivity floor."""
     cell = noise_cell_quantities(state, Y)
-    state.noise = _reduce_noise(state.noise.case, cell, state.noise_floor)
+    case = state.noise.case
+    state.noise = NoiseEstimate(case=case, values=np.maximum(cell.mean(axis=case.tied_axes), state.noise_floor))
     return state
 
 

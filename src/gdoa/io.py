@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +46,48 @@ class FormatError(ValueError):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+_REQUIRED = object()
+_float_array = partial(np.asarray, dtype=float)
+
+
+def _field(doc: dict, key: str, where, convert, default=_REQUIRED):
+    """``convert(doc[key])``, or ``default`` when the key is absent; errors name the key."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f"{where}: missing key '{key}'")
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: key '{key}': {exc}") from None
+
+
+def _array_of(convert):
+    """Converter for a JSON array whose items each go through ``convert``."""
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+        return tuple(convert(v) for v in value)
+    return parse
 
 
 # ---------------------------------------------------------------- snapshots
@@ -149,12 +192,12 @@ def _cplx_to_json(arr: np.ndarray) -> dict:
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
-def _cplx_from_json(obj, key: str) -> np.ndarray:
+def _cplx_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise FormatError(f"key '{key}' must be an object with 're' and 'im' arrays")
-    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+        raise ValueError("must be an object with 're' and 'im' arrays")
+    re, im = _float_array(obj["re"]), _float_array(obj["im"])
     if re.shape != im.shape:
-        raise FormatError(f"key '{key}': 're' shape {re.shape} differs from 'im' shape {im.shape}")
+        raise ValueError(f"'re' shape {re.shape} differs from 'im' shape {im.shape}")
     return _complex_from_parts(re, im)
 
 
@@ -164,23 +207,14 @@ def write_scene(path, scene: SyntheticScene) -> None:
         "weights": _cplx_to_json(scene.weights),
         "noise_variances": np.asarray(scene.noise_variances, dtype=float).tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_scene(path) -> SyntheticScene:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("omegas", "weights", "noise_variances"):
-        if key not in doc:
-            raise FormatError(f"{path}: missing key '{key}'")
-    omegas = np.asarray(doc["omegas"], dtype=float)
-    weights = _cplx_from_json(doc["weights"], "weights")
-    noise_variances = np.asarray(doc["noise_variances"], dtype=float)
+    doc = _read_json(path)
+    omegas = _field(doc, "omegas", path, _float_array)
+    weights = _field(doc, "weights", path, _cplx_from_json)
+    noise_variances = _field(doc, "noise_variances", path, _float_array)
     if noise_variances.ndim != 2:
         raise FormatError(f"{path}: key 'noise_variances' must be an M x L grid, "
                           f"got shape {noise_variances.shape}")
@@ -195,56 +229,42 @@ def read_scene(path) -> SyntheticScene:
 
 # ------------------------------------------------------------------ configs
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise FormatError(f"{where}: missing key '{key}'")
-    return doc[key]
-
-
 def parse_scenario(doc: dict, where: str = "scenario config") -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a JSON object")
-    M = int(_require(doc, "M", where))
-    L = int(_require(doc, "L", where))
+    M = _field(doc, "M", where, int)
+    L = _field(doc, "L", where, int)
     if ("true_omegas" in doc) == ("true_thetas_deg" in doc):
         raise FormatError(f"{where}: give exactly one of 'true_omegas' or 'true_thetas_deg'")
     if "true_omegas" in doc:
-        omegas = tuple(float(w) for w in doc["true_omegas"])
+        omegas = _field(doc, "true_omegas", where, _array_of(float))
     else:
-        omegas = tuple(float(theta_to_omega(t)) for t in doc["true_thetas_deg"])
-    K = int(doc.get("K", len(omegas)))
+        omegas = _field(doc, "true_thetas_deg", where, _array_of(lambda t: theta_to_omega(float(t))))
+    K = _field(doc, "K", where, int, len(omegas))
     if K != len(omegas):
         raise FormatError(f"{where}: key 'K' ({K}) does not match the {len(omegas)} frequencies")
     amp_doc = doc.get("amplitude", {})
     if not isinstance(amp_doc, dict):
         raise FormatError(f"{where}: key 'amplitude' must be an object")
+    amp_where = f"{where}.amplitude"
     law = AmplitudeLaw(
-        mag_mean=float(amp_doc.get("mag_mean", 1.0)),
-        mag_std=float(amp_doc.get("mag_std", 0.2)),
+        mag_mean=_field(amp_doc, "mag_mean", amp_where, float, 1.0),
+        mag_std=_field(amp_doc, "mag_std", amp_where, float, 0.2),
     )
+    snr_db = _field(doc, "snr_db", where, float)
+    delta_nu_db = _field(doc, "delta_nu_db", where, float, 0.0)
+    noise_case = _field(doc, "noise_case", where, NoiseCase.from_label)
+    seed = _field(doc, "seed", where, int, 0)
     try:
-        return ScenarioConfig(
-            M=M,
-            L=L,
-            K=K,
-            true_omegas=omegas,
-            snr_db=float(_require(doc, "snr_db", where)),
-            delta_nu_db=float(doc.get("delta_nu_db", 0.0)),
-            noise_case=NoiseCase.from_label(_require(doc, "noise_case", where)),
-            amplitude_law=law,
-            seed=int(doc.get("seed", 0)),
-        )
+        return ScenarioConfig(M=M, L=L, K=K, true_omegas=omegas, snr_db=snr_db,
+                              delta_nu_db=delta_nu_db, noise_case=noise_case,
+                              amplitude_law=law, seed=seed)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
 def read_scenario_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_scenario(doc, where=str(path))
+    return parse_scenario(_read_json(path), where=str(path))
 
 
 def scenario_to_doc(config: ScenarioConfig) -> dict:
@@ -260,28 +280,21 @@ def parse_sweep_config(doc: dict, where: str = "sweep config"):
 
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a JSON object")
-    base = parse_scenario(_require(doc, "base", where), where=f"{where}.base")
+    base = parse_scenario(_field(doc, "base", where, lambda b: b), where=f"{where}.base")
+    sweep_axis = _field(doc, "sweep_axis", where, str)
+    values = _field(doc, "values", where, _array_of(float))
+    trials = _field(doc, "trials", where, int)
+    algorithms = _field(doc, "algorithms", where, _array_of(str))
     try:
-        return SweepConfig(
-            base=base,
-            sweep_axis=str(_require(doc, "sweep_axis", where)),
-            values=tuple(float(v) for v in _require(doc, "values", where)),
-            trials=int(_require(doc, "trials", where)),
-            algorithms=tuple(str(a) for a in _require(doc, "algorithms", where)),
-            include_crb=bool(doc.get("include_crb", False)),
-            output_path=doc.get("output_path"),
-        )
+        return SweepConfig(base=base, sweep_axis=sweep_axis, values=values, trials=trials,
+                           algorithms=algorithms, include_crb=bool(doc.get("include_crb", False)),
+                           output_path=doc.get("output_path"))
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
 def read_sweep_config(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_sweep_config(doc, where=str(path))
+    return parse_sweep_config(_read_json(path), where=str(path))
 
 
 # ------------------------------------------------------------------- tables
@@ -300,9 +313,7 @@ def write_crb_report(path, omegas: np.ndarray, crb_block: np.ndarray, trace_db: 
         "crb_frequencies": np.asarray(crb_block, dtype=float).tolist(),
         "trace_db": float(trace_db),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def write_estimation_result(path, result, case: NoiseCase) -> None:
@@ -325,14 +336,4 @@ def write_estimation_result(path, result, case: NoiseCase) -> None:
         "converged": result.converged,
         "assumed_case": case.value,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def read_estimation_summary(path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    _write_json(path, doc)

@@ -63,8 +63,8 @@ class SearchWorkspace:
     are indexed accordingly.  Invariants, restored by ``_refresh`` after
     every flip: C_l = ([J_l]_order + I/tau)^{-1} and
     x[:, l] = C_l @ H[order, l].  ``J`` and ``C`` have a leading axis of
-    length L, or of length 1 when one slice stands for every snapshot; the
-    snapshot count comes from ``H``.
+    length L, or of length 1 when one slice stands for every snapshot (noise
+    Cases I and III); the snapshot count comes from ``H``.
     """
 
     J: np.ndarray            # (L, N, N) or (1, N, N) Hermitian, diagonal = tr(Sigma_l^{-1})
@@ -84,11 +84,6 @@ class SearchWorkspace:
     def N(self) -> int:
         return self.J.shape[1]
 
-    @property
-    def tr_inv(self) -> np.ndarray:
-        # Diagonal of J_l is constant; any entry carries tr(Sigma_l^{-1}).
-        return self.J[:, 0, 0].real
-
     def log_odds(self) -> float:
         return math.log(self.rho) - math.log1p(-self.rho)
 
@@ -96,10 +91,6 @@ class SearchWorkspace:
     def ln_z(self) -> float:
         """Evidence score of the current support, computed on demand."""
         return _score(self.J, self.H, self.rho, self.tau, self.order)
-
-    def per_snapshot(self, a: np.ndarray) -> np.ndarray:
-        """A J- or C-shaped stack with its leading axis spread to L (a view if shared)."""
-        return a if a.shape[0] == self.L else np.broadcast_to(a, (self.L,) + a.shape[1:])
 
 
 def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
@@ -216,7 +207,7 @@ def _refresh(ws: SearchWorkspace) -> None:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior system not invertible: {exc}") from exc
     ws.C = 0.5 * (C + np.conj(np.swapaxes(C, 1, 2)))
-    ws.x = np.einsum("lij,jl->il", ws.per_snapshot(ws.C), ws.H[ws.order, :])
+    ws.x = np.einsum("lij,jl->il", ws.C, ws.H[ws.order, :])
 
 
 def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
@@ -231,11 +222,12 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
         Jsel = ws.J[:, active][:, :, inactive]                # (L or 1, s, m)
         T = ws.C @ Jsel                                       # (L or 1, s, m)
         quad = np.einsum("lsm,lsm->lm", np.conj(Jsel), T).real
-        denom = (ws.tr_inv + 1.0 / ws.tau)[:, None] - quad
+        tr_inv = ws.J[:, 0, 0].real                           # the constant diagonal, tr(Sigma_l^{-1})
+        denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
         if np.any(denom <= 0):
             raise NumericalError("nonpositive Schur complement in candidate sweep")
         v = 1.0 / denom
-        cross = np.einsum("lsm,sl->lm", ws.per_snapshot(np.conj(Jsel)), ws.x)
+        cross = np.einsum("lsm,sl->lm", np.conj(Jsel), ws.x)
         u = v * (ws.H[inactive, :].T - cross)
         deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
 

@@ -118,6 +118,52 @@ class TestSynthEstimate:
         assert "snr_db" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Bad values exit 1 with a message that names the file and the key, never a traceback."""
+
+    @pytest.mark.parametrize("over, key", [
+        ({"true_omegas": 0.1}, "true_omegas"),
+        ({"true_omegas": ["a"]}, "true_omegas"),
+        ({"M": "x"}, "M"),
+        ({"seed": [1]}, "seed"),
+        ({"amplitude": {"mag_mean": "big"}}, "mag_mean"),
+    ], ids=["omegas-scalar", "omegas-string", "M-string", "seed-list", "mag-mean-string"])
+    def test_synth_names_key(self, tmp_path, capsys, over, key):
+        cfg = write_scenario(tmp_path / "cfg.json", **over)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}") and f"key '{key}'" in err
+
+    @pytest.mark.parametrize("over, key", [
+        ({"values": 5}, "values"),
+        ({"values": ["hot"]}, "values"),
+        ({"algorithms": "MVALSE"}, "algorithms"),
+        ({"trials": "many"}, "trials"),
+    ], ids=["values-scalar", "values-string", "algorithms-string", "trials-string"])
+    def test_mc_names_key(self, tmp_path, capsys, over, key):
+        sweep = write_sweep(tmp_path / "sweep.json", **over)
+        assert main(["mc", "--config", str(sweep), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep}") and f"key '{key}'" in err
+
+    @pytest.mark.parametrize("doc, cause", [
+        (5, "expected a JSON object, got int"),
+        ({"omegas": ["a"], "weights": {"re": [], "im": []}, "noise_variances": [[1.0]]}, "key 'omegas'"),
+    ], ids=["number", "omegas-string"])
+    def test_crb_names_cause(self, tmp_path, capsys, doc, cause):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        assert main(["crb", str(path), "--out", str(tmp_path / "crb.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and cause in err
+
+    def test_workers_env_names_variable(self, tmp_path, monkeypatch, capsys):
+        sweep = write_sweep(tmp_path / "sweep.json")
+        monkeypatch.setenv("GDOA_WORKERS", "two")
+        assert main(["mc", "--config", str(sweep), "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == "error: GDOA_WORKERS must be an integer, got 'two'\n"
+
+
 class TestCbfCrb:
     def test_cbf_table(self, tmp_path):
         cfg = write_scenario(tmp_path / "cfg.json")

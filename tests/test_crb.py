@@ -198,9 +198,14 @@ class TestConcentratedForm:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(SingularFimError, match="factorization"):
             crb_frequencies(random_params(rng), np.ones((6, 3)))
+
+    def test_no_frequencies_is_singular_fim_error(self):
+        params = CrbParameterization(omegas=np.zeros(0), g=np.zeros((0, 3)), phi=np.zeros((0, 3)))
+        with pytest.raises(SingularFimError, match="no frequencies"):
+            crb_frequencies(params, np.ones((6, 3)))
 
     def test_does_not_build_the_full_fim(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):

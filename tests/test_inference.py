@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_moments, random_variances
-from gdoa.circular import VonMises, moment_vector
+from gdoa.circular import VonMises, approximate_posterior, moment_vector
 from gdoa.inference import (
+    INIT_NOISE_FRACTION,
     EstimationResult,
     HyperParams,
     InferenceState,
@@ -17,7 +20,7 @@ from gdoa.inference import (
     update_noise,
     update_weights_support,
 )
-from gdoa.model import NoiseCase, ScenarioConfig, steering_vector, synthesize_scene
+from gdoa.model import NoiseCase, ScenarioConfig, steering_matrix, steering_vector, synthesize_scene
 from gdoa.support_search import SupportState, compute_jh, ln_z, make_workspace
 
 
@@ -104,6 +107,33 @@ class TestInitState:
         assert state.weight_means.shape == (0, 4)
         assert 0 < state.hyper.rho < 1 and state.hyper.tau > 0
 
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
+    def test_seeds_match_weighted_periodogram(self, case):
+        rng = np.random.default_rng(21)
+        M, L = 12, 5
+        X = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+        Y = steering_matrix([-0.7, 0.4, 1.9], M) @ X + 0.3 * (
+            rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+        state = init_state(Y, M, case)
+        assert state.weight_covs.shape == (1 if 1 in case.tied_axes else L, 0, 0)
+        # the seeding written with the inverse-variance weights of the uniform start nu0
+        weights_inv = np.full((M, L), 1.0 / (INIT_NOISE_FRACTION * np.mean(np.abs(Y) ** 2)))
+        tr_inv = weights_inv.sum(axis=0)
+        G = 256  # next power of two >= 16 * M
+        residual = Y.copy()
+        for i in range(M):
+            WR = weights_inv * residual
+            spectra = np.fft.fft(WR, n=G, axis=0)
+            power = (np.abs(spectra) ** 2 / tr_inv).sum(axis=1)
+            x_hat = spectra[np.argmax(power)] / tr_inv
+            vm = approximate_posterior(2.0 * (WR * np.conj(x_hat)).sum(axis=1))
+            got = state.posteriors[i]
+            assert abs(np.angle(np.exp(1j * (got.mu - vm.mu)))) <= 1e-9
+            assert got.kappa == pytest.approx(vm.kappa, rel=1e-9)
+            a = moment_vector(vm, M)
+            np.testing.assert_allclose(state.moments[:, i], a, atol=1e-9)
+            residual = residual - np.outer(a, x_hat)
+
     def test_budget_validation(self):
         Y = np.zeros((4, 2), dtype=complex)
         with pytest.raises(ValueError):
@@ -183,6 +213,30 @@ class TestWeightSupportUpdate:
         update_weights_support(state, Y)
         after = ln_z(state.support.s, ws)
         assert after >= before - 1e-9
+
+
+class TestSharedCovariance:
+    @pytest.mark.parametrize("case", [NoiseCase.I, NoiseCase.III], ids=lambda c: c.value)
+    def test_updates_match_the_spread_copy(self, rng, case):
+        M, L = 8, 5
+        state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=case)
+        X = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, L)))
+        Y = state.moments[:, [0, 2, 5]] @ X + 0.1 * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+        update_weights_support(state, Y)
+        k = state.support.size
+        assert k and state.weight_covs.shape == (1, k, k)
+        spread = dataclasses.replace(state, weight_covs=np.broadcast_to(state.weight_covs, (L, k, k)))
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+        for i in state.support.active_set:
+            close(frequency_eta(state, Y, i), frequency_eta(spread, Y, i))
+        close(noise_cell_quantities(state, Y), noise_cell_quantities(spread, Y))
+        update_hyperparams(state)
+        update_hyperparams(spread)
+        assert state.hyper.rho == spread.hyper.rho
+        close(state.hyper.tau, spread.hyper.tau)
 
 
 class TestHyperUpdate:

@@ -142,6 +142,12 @@ class TestSceneFormat:
         with pytest.raises(io.FormatError, match=key):
             io.read_scene(path)
 
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(io.FormatError, match="expected a JSON object, got list"):
+            io.read_scene(path)
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text('{"omegas": [0.1]}')
@@ -187,6 +193,14 @@ class TestScenarioConfigFormat:
     def test_k_mismatch(self):
         with pytest.raises(io.FormatError, match="'K'"):
             io.parse_scenario(self.doc(K=3))
+
+    @pytest.mark.parametrize("key, value", [("true_omegas", "0.1"), ("true_thetas_deg", "30")])
+    def test_list_keys_must_be_arrays(self, key, value):
+        doc = self.doc()
+        del doc["true_omegas"]
+        doc[key] = value
+        with pytest.raises(io.FormatError, match=f"key '{key}': expected a JSON array, got str"):
+            io.parse_scenario(doc)
 
     def test_invalid_values_reported(self):
         with pytest.raises(io.FormatError, match="delta_nu_db"):

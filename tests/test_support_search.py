@@ -174,14 +174,14 @@ class TestStructuredJ:
                 assert np.abs(ws.x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
-    def test_per_snapshot_spreads_shared_covariance(self, rng, case):
+    def test_shared_covariance_matches_every_snapshot(self, rng, case):
         inst = random_instance(rng, L=4, tied_axes=case.tied_axes)
         ws = workspace_of(inst, (5, 2))
         assert ws.order == [2, 5]
-        C = ws.per_snapshot(ws.C)
-        assert C.shape == (4, 2, 2)
+        assert ws.C.shape == (1, 2, 2)
         C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
-        np.testing.assert_allclose(C, C_ref, atol=1e-10)
+        for C_l in C_ref:
+            np.testing.assert_allclose(ws.C[0], C_l, atol=1e-10)
         np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
@@ -201,7 +201,7 @@ class TestStructuredJ:
             energy += np.sum(np.abs(C_l @ H[S, l]) ** 2)
             trace += np.trace(C_l).real
         update_hyperparams(state)
-        assert state.weight_covs.shape == (L, len(S), len(S))
+        assert state.weight_covs.shape == (1, len(S), len(S))
         assert state.hyper.tau == pytest.approx((energy + trace) / (L * len(S)), rel=1e-10)
 
 
