@@ -2,7 +2,8 @@
 
 The frequency belief for one component is a von Mises density on the circle.
 Its trigonometric moments ``E[exp(1j*m*omega)] = exp(1j*m*mu) * I_m(kappa)/I_0(kappa)``
-give the expected steering vector used everywhere downstream.
+give the expected steering vector used everywhere downstream; ``bessel_ratio``
+gets the ratios from a continued fraction and a recurrence, with numpy alone.
 
 ``approximate_posterior`` fits a von Mises to the unnormalized log-density
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 GRID_OVERSAMPLE = 16
 NEWTON_STEPS = 10
@@ -50,40 +50,34 @@ class VonMises:
         object.__setattr__(self, "kappa", float(self.kappa))
 
 
-ASYMPTOTIC_KAPPA = 1e7
-
-
-def _bessel_ratio_asymptotic(order: np.ndarray, kappa: float) -> np.ndarray:
-    # Ratio of the large-argument expansions of I_m and I_0 (three terms each);
-    # relative error O((m^2/kappa)^4), < 1e-12 for m <= 64 at the switch point.
-    mu = 4.0 * order.astype(float) ** 2
-    z8 = 8.0 * kappa
-    num = (1.0
-           - (mu - 1.0) / z8
-           + (mu - 1.0) * (mu - 9.0) / (2.0 * z8**2)
-           - (mu - 1.0) * (mu - 9.0) * (mu - 25.0) / (6.0 * z8**3))
-    den = 1.0 + 1.0 / z8 + 9.0 / (2.0 * z8**2) + 225.0 / (6.0 * z8**3)
-    return np.clip(num / den, 0.0, 1.0)
-
-
 def bessel_ratio(kappa: float, m) -> float | np.ndarray:
     """Ratio I_m(kappa) / I_0(kappa) of modified Bessel functions of the first kind.
 
-    Exponentially scaled Bessel functions cover concentrations up to 1e7;
-    beyond that (where scipy's scaled evaluation eventually returns NaN) the
-    ratio of large-argument asymptotic expansions takes over, so the result
-    stays accurate for arbitrarily large (even infinite) concentrations.
+    Perron's continued fraction, 20 terms deep, gives ``r_{n+1}`` (``r_j = I_j/I_{j-1}``)
+    at ``n = max(max(m), 16)``; the backward recurrence ``r_j = 1/(2j/kappa + r_{j+1})``
+    runs from ``j = n`` down to 1, and cumulative products of the ``r_j`` are the
+    ratios (relative error < 1e-12 for m < 129).  No fraction term divides by
+    kappa, so this one path serves every kappa > 0, huge, infinite and
+    subnormal included; ``kappa = inf`` gives all ones.  ``kappa = 0`` is exact.
     """
     if not kappa >= 0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     order = np.asarray(m)
-    if np.any(order < 0):
-        raise ValueError("harmonic order must be >= 0")
-    if kappa > ASYMPTOTIC_KAPPA:
-        out = _bessel_ratio_asymptotic(np.atleast_1d(order), kappa)
-        out = out[0] if np.ndim(m) == 0 else out.reshape(order.shape)
+    if order.dtype.kind not in "iu" or np.any(order < 0):
+        raise ValueError("harmonic order must be a non-negative integer")
+    kappa = float(kappa)  # Python floats overflow to inf without a warning
+    if kappa == 0.0:
+        out = (order == 0).astype(float)
     else:
-        out = ive(order, kappa) / ive(0, kappa)
+        n0 = max(int(order.max(initial=0)), 16)
+        u = 0.0
+        for k in range(20, 0, -1):
+            u = (2 * n0 + 2 * k - 1) / (2 * n0 + k + (2.0 - u) * kappa)
+        r = [1.0] * (n0 + 2)  # r[j] = I_j/I_{j-1}; r[0] = 1 starts the product
+        r[n0 + 1] = 1.0 - u
+        for j in range(n0, 0, -1):
+            r[j] = 1.0 / (2 * j / kappa + r[j + 1])
+        out = np.cumprod(r[:-1])[order]
     return float(out) if np.isscalar(m) else out
 
 

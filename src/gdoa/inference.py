@@ -157,10 +157,10 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     G = _next_pow2(16 * M)
 
     residual = Y.copy()
+    spectra = np.fft.fft(residual, n=G, axis=0)    # (G, L): a(w)^H r_l, kept in step with residual
     posteriors: list[VonMises] = []
     moments = np.empty((M, N), dtype=np.complex128)
     for i in range(N):
-        spectra = np.fft.fft(residual, n=G, axis=0)    # (G, L): a(w)^H r_l
         g_star = int(np.argmax((np.abs(spectra) ** 2).sum(axis=1)))
         x_hat = spectra[g_star, :] / M
         eta = (2.0 / nu0) * (residual * np.conj(x_hat)[None, :]).sum(axis=1)
@@ -168,6 +168,7 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         posteriors.append(vm)
         moments[:, i] = moment_vector(vm, M)
         residual = residual - np.outer(moments[:, i], x_hat)
+        spectra -= np.outer(np.fft.fft(moments[:, i], n=G), x_hat)  # the FFT is linear
 
     return InferenceState(
         posteriors=posteriors,
@@ -181,7 +182,7 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     )
 
 
-def frequency_eta(state: InferenceState, Y: np.ndarray, i: int, inv_variances: np.ndarray | None = None) -> np.ndarray:
+def frequency_eta(state: InferenceState, Y: np.ndarray, i: int) -> np.ndarray:
     """Harmonic coefficient vector driving component i's frequency posterior.
 
     Per snapshot: twice the inverse-variance weighting of the
@@ -199,7 +200,7 @@ def frequency_eta(state: InferenceState, Y: np.ndarray, i: int, inv_variances: n
     resid_i = Y - A_S @ X + np.outer(A_S[:, p], X[p, :])
     cov_col = state.weight_covs[:, :, p]                       # (L, k) or (1, k)
     cov_term = A_S @ cov_col.T - np.outer(A_S[:, p], state.weight_covs[:, p, p])
-    w = 1.0 / state.noise.compact_grid(M, L) if inv_variances is None else inv_variances
+    w = 1.0 / state.noise.compact_grid(M, L)
     return (2.0 * w * (resid_i * np.conj(X[p, :])[None, :] - cov_term)).sum(axis=1)
 
 
@@ -210,11 +211,9 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
     already-refreshed moments of its predecessors; inactive components keep
     their last belief.
     """
-    M, L = Y.shape
-    w = 1.0 / state.noise.compact_grid(M, L)
+    M = Y.shape[0]
     for i in state.support.active_set:
-        eta = frequency_eta(state, Y, i, inv_variances=w)
-        vm = approximate_posterior(eta)
+        vm = approximate_posterior(frequency_eta(state, Y, i))
         state.posteriors[i] = vm
         state.moments[:, i] = moment_vector(vm, M)
     return state

@@ -81,13 +81,22 @@ def _field(doc: dict, key: str, where, convert, default=_REQUIRED):
         raise FormatError(f"{where}: key '{key}': {exc}") from None
 
 
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", type(None): "null", dict: "object", list: "array"}
+
+
+def _exactly(*types):
+    """Converter passing only values of exactly these JSON types: nothing is coerced, and ``true`` is no integer."""
+    def check(value):
+        if type(value) not in types:
+            names = " or ".join(_JSON_TYPES[t] for t in types)
+            raise TypeError(f"expected a JSON {names}, got {type(value).__name__}")
+        return value
+    return check
+
+
 def _array_of(convert):
     """Converter for a JSON array whose items each go through ``convert``."""
-    def parse(value) -> tuple:
-        if not isinstance(value, list):
-            raise TypeError(f"expected a JSON array, got {type(value).__name__}")
-        return tuple(convert(v) for v in value)
-    return parse
+    return lambda value: tuple(convert(v) for v in _exactly(list)(value))
 
 
 # ---------------------------------------------------------------- snapshots
@@ -230,22 +239,18 @@ def read_scene(path) -> SyntheticScene:
 # ------------------------------------------------------------------ configs
 
 def parse_scenario(doc: dict, where: str = "scenario config") -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: expected a JSON object")
-    M = _field(doc, "M", where, int)
-    L = _field(doc, "L", where, int)
+    M = _field(doc, "M", where, _exactly(int))
+    L = _field(doc, "L", where, _exactly(int))
     if ("true_omegas" in doc) == ("true_thetas_deg" in doc):
         raise FormatError(f"{where}: give exactly one of 'true_omegas' or 'true_thetas_deg'")
     if "true_omegas" in doc:
         omegas = _field(doc, "true_omegas", where, _array_of(float))
     else:
         omegas = _field(doc, "true_thetas_deg", where, _array_of(lambda t: theta_to_omega(float(t))))
-    K = _field(doc, "K", where, int, len(omegas))
+    K = _field(doc, "K", where, _exactly(int), len(omegas))
     if K != len(omegas):
         raise FormatError(f"{where}: key 'K' ({K}) does not match the {len(omegas)} frequencies")
-    amp_doc = doc.get("amplitude", {})
-    if not isinstance(amp_doc, dict):
-        raise FormatError(f"{where}: key 'amplitude' must be an object")
+    amp_doc = _field(doc, "amplitude", where, _exactly(dict), {})
     amp_where = f"{where}.amplitude"
     law = AmplitudeLaw(
         mag_mean=_field(amp_doc, "mag_mean", amp_where, float, 1.0),
@@ -254,7 +259,7 @@ def parse_scenario(doc: dict, where: str = "scenario config") -> ScenarioConfig:
     snr_db = _field(doc, "snr_db", where, float)
     delta_nu_db = _field(doc, "delta_nu_db", where, float, 0.0)
     noise_case = _field(doc, "noise_case", where, NoiseCase.from_label)
-    seed = _field(doc, "seed", where, int, 0)
+    seed = _field(doc, "seed", where, _exactly(int), 0)
     try:
         return ScenarioConfig(M=M, L=L, K=K, true_omegas=omegas, snr_db=snr_db,
                               delta_nu_db=delta_nu_db, noise_case=noise_case,
@@ -278,17 +283,16 @@ def scenario_to_doc(config: ScenarioConfig) -> dict:
 def parse_sweep_config(doc: dict, where: str = "sweep config"):
     from .sweep import SweepConfig
 
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: expected a JSON object")
-    base = parse_scenario(_field(doc, "base", where, lambda b: b), where=f"{where}.base")
+    base = parse_scenario(_field(doc, "base", where, _exactly(dict)), where=f"{where}.base")
     sweep_axis = _field(doc, "sweep_axis", where, str)
     values = _field(doc, "values", where, _array_of(float))
-    trials = _field(doc, "trials", where, int)
+    trials = _field(doc, "trials", where, _exactly(int))
     algorithms = _field(doc, "algorithms", where, _array_of(str))
+    include_crb = _field(doc, "include_crb", where, _exactly(bool), False)
+    output_path = _field(doc, "output_path", where, _exactly(str, type(None)), None)
     try:
         return SweepConfig(base=base, sweep_axis=sweep_axis, values=values, trials=trials,
-                           algorithms=algorithms, include_crb=bool(doc.get("include_crb", False)),
-                           output_path=doc.get("output_path"))
+                           algorithms=algorithms, include_crb=include_crb, output_path=output_path)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 

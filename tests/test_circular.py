@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
+import gdoa
 from gdoa.circular import (
-    ASYMPTOTIC_KAPPA,
     VonMises,
-    _bessel_ratio_asymptotic,
     approximate_posterior,
     bessel_ratio,
     moment_vector,
@@ -29,6 +33,22 @@ def bessel_series(x: float, m: int) -> float:
         total += term
         if term < 1e-18 * total:
             return total
+
+
+def bessel_ratio_asymptotic(order: np.ndarray, kappa: float) -> np.ndarray:
+    """Oracle for large kappa: ratio of the large-argument expansions of I_m and I_0.
+
+    Three terms each; the relative error is O((m^2/kappa)^4), below 1e-13
+    for m <= 128 once kappa >= 1e7.
+    """
+    mu = 4.0 * order.astype(float) ** 2
+    z8 = 8.0 * kappa
+    num = (1.0
+           - (mu - 1.0) / z8
+           + (mu - 1.0) * (mu - 9.0) / (2.0 * z8**2)
+           - (mu - 1.0) * (mu - 9.0) * (mu - 25.0) / (6.0 * z8**3))
+    den = 1.0 + 1.0 / z8 + 9.0 / (2.0 * z8**2) + 225.0 / (6.0 * z8**3)
+    return num / den
 
 
 def vm_moment_quadrature(mu: float, kappa: float, m: int) -> complex:
@@ -82,11 +102,39 @@ class TestBesselRatio:
             assert np.all(np.isfinite(r))
             assert r[1] == pytest.approx(1.0, abs=1e-5)
 
-    def test_switchover_agreement(self):
-        m = np.arange(65)
-        below = ive(m, ASYMPTOTIC_KAPPA) / ive(0, ASYMPTOTIC_KAPPA)
-        above = _bessel_ratio_asymptotic(m, ASYMPTOTIC_KAPPA)
-        assert np.abs(below - above).max() < 1e-12
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            bessel_ratio(1.0, 1.5)
+
+    @pytest.mark.parametrize("M", [1, 2, 17, 20, 64, 129])
+    def test_against_ive_oracle(self, M):
+        m = np.arange(M)
+        for kappa in np.logspace(-8, 7, 151):
+            want = ive(m, kappa) / ive(0, kappa)
+            got = bessel_ratio(kappa, m)
+            keep = want > 1e-290  # below that the oracle itself is subnormal or zero
+            np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+
+    def test_against_asymptotic_oracle(self):
+        m = np.arange(129)
+        for kappa in np.logspace(7, 15, 81):
+            np.testing.assert_allclose(bessel_ratio(kappa, m), bessel_ratio_asymptotic(m, kappa),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, 1e300, 1.7e308, np.inf])
+    def test_extreme_kappa_finite_without_warnings(self, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = bessel_ratio(kappa, np.arange(129))
+        assert np.all(np.isfinite(r)) and np.all((0.0 <= r) & (r <= 1.0))
+        if kappa == 0.0:
+            np.testing.assert_array_equal(r, np.eye(1, 129)[0])
+
+    def test_scalar_and_array_orders(self):
+        m = np.array([[3, 0], [1, 7]])
+        r = bessel_ratio(4.5, m)
+        assert r.shape == m.shape
+        assert type(bessel_ratio(4.5, 7)) is float and bessel_ratio(4.5, 7) == r[1, 1]
 
 
 class TestMomentVector:
@@ -199,3 +247,24 @@ class TestVonMisesType:
         w = wrap_angle(x)
         assert -np.pi <= w < np.pi
         assert np.cos(w - x) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_estimator_and_crb_load_no_scipy():
+    """``import gdoa``, one run and one CRB need numpy alone (scipy serves sweeps and tests)."""
+    script = """
+import sys
+import numpy as np
+import gdoa
+from gdoa.model import steering_matrix
+
+rng = np.random.default_rng(0)
+omegas, X = np.array([0.8]), np.ones((1, 4), dtype=complex)
+Y = steering_matrix(omegas, 8) @ X + 0.1 * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+gdoa.run(Y, case=gdoa.NoiseCase.II)
+gdoa.crb_frequencies(gdoa.CrbParameterization.from_weights(omegas, X), np.full((8, 4), 0.01))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(gdoa.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -127,7 +127,14 @@ class TestMalformedInput:
         ({"M": "x"}, "M"),
         ({"seed": [1]}, "seed"),
         ({"amplitude": {"mag_mean": "big"}}, "mag_mean"),
-    ], ids=["omegas-scalar", "omegas-string", "M-string", "seed-list", "mag-mean-string"])
+        ({"M": 8.9}, "M"),
+        ({"M": "8"}, "M"),
+        ({"L": True}, "L"),
+        ({"K": 1.0}, "K"),
+        ({"seed": 1.7}, "seed"),
+        ({"amplitude": 5}, "amplitude"),
+    ], ids=["omegas-scalar", "omegas-string", "M-string", "seed-list", "mag-mean-string",
+            "M-fraction", "M-numeric-string", "L-bool", "K-float", "seed-fraction", "amplitude-number"])
     def test_synth_names_key(self, tmp_path, capsys, over, key):
         cfg = write_scenario(tmp_path / "cfg.json", **over)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
@@ -139,7 +146,13 @@ class TestMalformedInput:
         ({"values": ["hot"]}, "values"),
         ({"algorithms": "MVALSE"}, "algorithms"),
         ({"trials": "many"}, "trials"),
-    ], ids=["values-scalar", "values-string", "algorithms-string", "trials-string"])
+        ({"trials": 2.5}, "trials"),
+        ({"include_crb": "false"}, "include_crb"),
+        ({"include_crb": 0}, "include_crb"),
+        ({"output_path": 5}, "output_path"),
+        ({"base": [1]}, "base"),
+    ], ids=["values-scalar", "values-string", "algorithms-string", "trials-string",
+            "trials-fraction", "include-crb-string", "include-crb-int", "output-path-number", "base-list"])
     def test_mc_names_key(self, tmp_path, capsys, over, key):
         sweep = write_sweep(tmp_path / "sweep.json", **over)
         assert main(["mc", "--config", str(sweep), "--out", str(tmp_path / "t.csv")]) == 1
