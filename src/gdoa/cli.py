@@ -9,14 +9,11 @@ Subcommands:
 * ``mc``       -- run a Monte Carlo sweep and write the result table
 
 Exit code 0 on success; any error prints a message to stderr and exits 1.
-The worker count for ``mc`` falls back to the ``GDOA_WORKERS`` environment
-variable when ``--workers`` is not given.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -112,8 +109,7 @@ def _add_mc(sub):
     p.add_argument("--out", default=None, help="output table CSV (overrides config output_path)")
     p.add_argument("--trials", type=int, default=None, help="override the trial count")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: GDOA_WORKERS env var, else 1)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--per-trial-log", default=None, help="also dump one CSV row per trial")
     p.set_defaults(func=_cmd_mc)
 
@@ -125,13 +121,7 @@ def _cmd_mc(args) -> int:
     out = args.out or config.output_path
     if out is None:
         raise ValueError("no output path: give --out or set 'output_path' in the sweep config")
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = int(os.environ.get("GDOA_WORKERS", "1"))
-        except ValueError:
-            raise ValueError(f"GDOA_WORKERS must be an integer, got {os.environ['GDOA_WORKERS']!r}") from None
-    table = run_sweep(config, master_seed=args.seed, workers=max(1, workers))
+    table = run_sweep(config, master_seed=args.seed, workers=max(1, args.workers))
     write_result_table(out, table)
     if args.per_trial_log:
         write_trial_log(args.per_trial_log, table)

@@ -81,7 +81,8 @@ def _field(doc: dict, key: str, where, convert, default=_REQUIRED):
         raise FormatError(f"{where}: key '{key}': {exc}") from None
 
 
-_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", type(None): "null", dict: "object", list: "array"}
+_JSON_TYPES = {int: "integer", float: "float", bool: "boolean", str: "string", type(None): "null",
+               dict: "object", list: "array"}
 
 
 def _exactly(*types):
@@ -92,6 +93,11 @@ def _exactly(*types):
             raise TypeError(f"expected a JSON {names}, got {type(value).__name__}")
         return value
     return check
+
+
+def _real(value) -> float:
+    """A JSON number as a float; strings and booleans are rejected, not coerced."""
+    return float(_exactly(int, float)(value))
 
 
 def _array_of(convert):
@@ -244,20 +250,20 @@ def parse_scenario(doc: dict, where: str = "scenario config") -> ScenarioConfig:
     if ("true_omegas" in doc) == ("true_thetas_deg" in doc):
         raise FormatError(f"{where}: give exactly one of 'true_omegas' or 'true_thetas_deg'")
     if "true_omegas" in doc:
-        omegas = _field(doc, "true_omegas", where, _array_of(float))
+        omegas = _field(doc, "true_omegas", where, _array_of(_real))
     else:
-        omegas = _field(doc, "true_thetas_deg", where, _array_of(lambda t: theta_to_omega(float(t))))
+        omegas = _field(doc, "true_thetas_deg", where, _array_of(lambda t: theta_to_omega(_real(t))))
     K = _field(doc, "K", where, _exactly(int), len(omegas))
     if K != len(omegas):
         raise FormatError(f"{where}: key 'K' ({K}) does not match the {len(omegas)} frequencies")
     amp_doc = _field(doc, "amplitude", where, _exactly(dict), {})
     amp_where = f"{where}.amplitude"
     law = AmplitudeLaw(
-        mag_mean=_field(amp_doc, "mag_mean", amp_where, float, 1.0),
-        mag_std=_field(amp_doc, "mag_std", amp_where, float, 0.2),
+        mag_mean=_field(amp_doc, "mag_mean", amp_where, _real, 1.0),
+        mag_std=_field(amp_doc, "mag_std", amp_where, _real, 0.2),
     )
-    snr_db = _field(doc, "snr_db", where, float)
-    delta_nu_db = _field(doc, "delta_nu_db", where, float, 0.0)
+    snr_db = _field(doc, "snr_db", where, _real)
+    delta_nu_db = _field(doc, "delta_nu_db", where, _real, 0.0)
     noise_case = _field(doc, "noise_case", where, NoiseCase.from_label)
     seed = _field(doc, "seed", where, _exactly(int), 0)
     try:
@@ -285,7 +291,7 @@ def parse_sweep_config(doc: dict, where: str = "sweep config"):
 
     base = parse_scenario(_field(doc, "base", where, _exactly(dict)), where=f"{where}.base")
     sweep_axis = _field(doc, "sweep_axis", where, str)
-    values = _field(doc, "values", where, _array_of(float))
+    values = _field(doc, "values", where, _array_of(_real))
     trials = _field(doc, "trials", where, _exactly(int))
     algorithms = _field(doc, "algorithms", where, _array_of(str))
     include_crb = _field(doc, "include_crb", where, _exactly(bool), False)

@@ -19,6 +19,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,12 +125,24 @@ def _cbf_peak_omegas(Y, K: int) -> np.ndarray | None:
     return theta_to_omega(grid.thetas[top])
 
 
+def _estimate(algo: str, snap, K: int, N: int):
+    """``(k_hat, omegas, signal)`` of one algorithm; CBF reconstructs no signal, a failed run finds nothing."""
+    if algo == "CBF":
+        omegas = _cbf_peak_omegas(snap, K)
+        return (0, None, None) if omegas is None else (K, omegas, None)
+    try:
+        result = run(snap, n_components=N, case=ALGORITHM_CASES[algo], options=RunOptions())
+    except NumericalError:
+        return 0, None, None
+    return result.k_hat, result.omegas, result.signal
+
+
 def run_trial(config: SweepConfig, value: float, trial: int, seed: int) -> list[TrialRecord]:
     """Synthesize one scene and run every requested algorithm on it.
 
     An estimator run that fails numerically is recorded as a failed trial for
     that algorithm (no components, wrong order, no errors) and the other
-    algorithms still run.
+    algorithms still run.  A scene without sources has no NMSE.
     """
     scenario = replace(config.base, **{config.sweep_axis: value}, seed=seed)
     scene, snap = synthesize_scene(scenario)
@@ -146,34 +159,13 @@ def run_trial(config: SweepConfig, value: float, trial: int, seed: int) -> list[
     records = []
     for algo in config.algorithms:
         t0 = time.perf_counter()
-        if algo == "CBF":
-            omega_hat = _cbf_peak_omegas(snap, K)
-            runtime = time.perf_counter() - t0
-            gated = None if omega_hat is None else gated_freq_mse(omega_hat, scene.omegas, N)
-            records.append(TrialRecord(
-                algorithm=algo, value=value, trial=trial, seed=seed,
-                k_hat=K if omega_hat is not None else 0,
-                order_correct=False, nmse=None,
-                freq_sq_error=None if gated is None else gated.sq_error,
-                crb_trace=crb_trace, runtime_s=runtime,
-            ))
-            continue
-        try:
-            result = run(snap, n_components=N, case=ALGORITHM_CASES[algo], options=RunOptions())
-        except NumericalError:
-            records.append(TrialRecord(
-                algorithm=algo, value=value, trial=trial, seed=seed, k_hat=0,
-                order_correct=False, nmse=None, freq_sq_error=None,
-                crb_trace=crb_trace, runtime_s=time.perf_counter() - t0,
-            ))
-            continue
+        k_hat, omega_hat, signal = _estimate(algo, snap, K, N)
         runtime = time.perf_counter() - t0
-        gated = gated_freq_mse(result.omegas, scene.omegas, N) if result.k_hat == K else None
+        gated = gated_freq_mse(omega_hat, scene.omegas, N) if omega_hat is not None and k_hat == K else None
         records.append(TrialRecord(
-            algorithm=algo, value=value, trial=trial, seed=seed,
-            k_hat=result.k_hat,
-            order_correct=result.k_hat == K,
-            nmse=nmse_ratio(result.signal, scene.clean_signal),
+            algorithm=algo, value=value, trial=trial, seed=seed, k_hat=k_hat,
+            order_correct=signal is not None and k_hat == K,
+            nmse=nmse_ratio(signal, scene.clean_signal) if signal is not None and K > 0 else None,
             freq_sq_error=None if gated is None else gated.sq_error,
             crb_trace=crb_trace, runtime_s=runtime,
         ))
@@ -182,9 +174,8 @@ def run_trial(config: SweepConfig, value: float, trial: int, seed: int) -> list[
 
 def _trial_job(args):
     config, value_index, trial, master_seed = args
-    value = config.values[value_index]
     seed = seed_schedule(master_seed, trial, value_index)
-    return (value_index, trial), run_trial(config, value, trial, seed)
+    return run_trial(config, config.values[value_index], trial, seed)
 
 
 def _db_of_mean(values: list[float]) -> float:
@@ -200,24 +191,14 @@ def run_sweep(config: SweepConfig, master_seed: int | None = None, workers: int 
     master = config.base.seed if master_seed is None else int(master_seed)
     jobs = [(config, vi, t, master) for vi in range(len(config.values)) for t in range(config.trials)]
 
-    results: dict[tuple[int, int], list[TrialRecord]] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, recs in pool.map(_trial_job, jobs, chunksize=4):
-                results[key] = recs
-                if progress:
-                    progress(len(results), len(jobs))
-    else:
-        for job in jobs:
-            key, recs = _trial_job(job)
-            results[key] = recs
+    records = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # both maps yield in job order, which is the (value, trial) aggregation order
+        trials = pool.map(_trial_job, jobs, chunksize=4) if pool else map(_trial_job, jobs)
+        for done, recs in enumerate(trials, 1):
+            records.extend(recs)
             if progress:
-                progress(len(results), len(jobs))
-
-    records = [rec
-               for vi in range(len(config.values))
-               for t in range(config.trials)
-               for rec in results[(vi, t)]]
+                progress(done, len(jobs))
 
     rows = []
     for algo in config.algorithms:

@@ -249,8 +249,18 @@ class TestVonMisesType:
         assert np.cos(w - x) == pytest.approx(1.0, abs=1e-9)
 
 
+def _scipy_modules_after(script: str, *args) -> str:
+    """The ``scipy*`` modules loaded once ``script`` has run in a fresh interpreter, printed as a list."""
+    script += "\nprint(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    src = str(Path(gdoa.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def test_estimator_and_crb_load_no_scipy():
-    """``import gdoa``, one run and one CRB need numpy alone (scipy serves sweeps and tests)."""
+    """``import gdoa``, one run and one CRB need numpy alone (scipy serves the tests)."""
     script = """
 import sys
 import numpy as np
@@ -262,9 +272,27 @@ omegas, X = np.array([0.8]), np.ones((1, 4), dtype=complex)
 Y = steering_matrix(omegas, 8) @ X + 0.1 * (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
 gdoa.run(Y, case=gdoa.NoiseCase.II)
 gdoa.crb_frequencies(gdoa.CrbParameterization.from_weights(omegas, X), np.full((8, 4), 0.01))
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    src = str(Path(gdoa.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _scipy_modules_after(script) == "[]"
+
+
+def test_sweep_and_mc_load_no_scipy(tmp_path):
+    """A sweep that matches frequencies, runs CBF and the CRB, and ``gdoa mc`` need numpy alone."""
+    script = """
+import json
+import sys
+from pathlib import Path
+from gdoa.cli import main
+from gdoa.io import parse_scenario
+from gdoa.sweep import SweepConfig, run_sweep
+
+base = {"M": 8, "L": 4, "true_omegas": [0.8], "snr_db": 20.0, "noise_case": "II", "seed": 5}
+table = run_sweep(SweepConfig(base=parse_scenario(base), sweep_axis="snr_db", values=(20.0,), trials=1,
+                              algorithms=("MVALSE", "CBF"), include_crb=True))
+assert [r.freq_sq_error is not None for r in table.records] == [True, True], table.records
+path = Path(sys.argv[1]) / "sweep.json"
+path.write_text(json.dumps({"base": base, "sweep_axis": "snr_db", "values": [20.0], "trials": 1,
+                            "algorithms": ["MVHN-S", "CBF"], "include_crb": True}))
+assert main(["mc", "--config", str(path), "--out", str(Path(sys.argv[1]) / "table.csv")]) == 0
+"""
+    assert _scipy_modules_after(script, str(tmp_path)) == "[]"

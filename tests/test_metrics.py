@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from gdoa.metrics import EXACT_DB, gated_freq_mse, nmse_ratio, wrapped_distance
 from gdoa.sweep import _db_of_mean
@@ -79,6 +82,61 @@ class TestGatedFreqMse:
         res = gated_freq_mse(est, truth, N=10)
         assert res is not None
         assert res.assignment.tolist() == [1, 0]
+
+    def test_squared_cost_breaks_linear_tie(self):
+        # both pairings have summed distance 0.05; only the parallel one has the least squared error
+        res = gated_freq_mse([0.11, 0.12], [0.13, 0.15], N=20)
+        assert res is not None
+        assert res.assignment.tolist() == [0, 1]
+        assert res.sq_error == pytest.approx(0.02**2 + 0.03**2, rel=1e-12)
+
+
+@st.composite
+def circle_matchings(draw, max_k):
+    """Truths and estimates around one centre: spread over the circle, clustered, or across +-pi."""
+    k = draw(st.integers(1, max_k))
+    centre = draw(st.one_of(st.sampled_from([np.pi, -np.pi]), st.floats(-np.pi, np.pi)))
+    spread = draw(st.sampled_from([0.01, 0.3, np.pi]))
+    angle = st.floats(-1.0, 1.0).map(lambda u: centre + spread * u)
+    truth = draw(st.lists(angle, min_size=k, max_size=k))
+    estimate = draw(st.lists(angle, min_size=k, max_size=k))
+    duplicates = draw(st.integers(0, k - 1))
+    estimate[k - duplicates:] = estimate[:1] * duplicates
+    return np.array(truth), np.array(estimate)
+
+
+def squared_costs(truth, estimate):
+    return wrapped_distance(truth[:, None], estimate[None, :]) ** 2
+
+
+class TestMatcherOracles:
+    """The sorted-shift matcher against general assignment; N=1 turns the gate off."""
+
+    @given(case=circle_matchings(max_k=7))
+    @settings(max_examples=300, deadline=None)
+    def test_brute_force_minimum(self, case):
+        truth, estimate = case
+        cost = squared_costs(truth, estimate)
+        perms = np.array(list(itertools.permutations(range(truth.size))))
+        totals = cost[np.arange(truth.size), perms].sum(axis=1)
+        res = gated_freq_mse(estimate, truth, N=1)
+        assert res is not None
+        assert res.sq_error == pytest.approx(totals.min(), abs=1e-12)
+        assert res.sq_error == pytest.approx(cost[np.arange(truth.size), res.assignment].sum(), abs=1e-15)
+        best = np.flatnonzero(totals <= totals.min() + 1e-12)
+        if best.size == 1:
+            assert res.assignment.tolist() == perms[best[0]].tolist()
+
+    @given(case=circle_matchings(max_k=12))
+    @settings(max_examples=200, deadline=None)
+    def test_assignment_solver_minimum(self, case):
+        truth, estimate = case
+        cost = squared_costs(truth, estimate)
+        rows, cols = linear_sum_assignment(cost)
+        res = gated_freq_mse(estimate, truth, N=1)
+        assert res is not None
+        assert res.sq_error == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
+        assert sorted(res.assignment.tolist()) == list(range(truth.size))
 
 
 class TestWrappedDistance:
