@@ -8,7 +8,7 @@ reproducible Monte Carlo harness.
 
 from .baselines import AngularGrid, cbf_spectrum
 from .circular import VonMises, approximate_posterior, bessel_ratio, moment_vector
-from .crb import CrbParameterization, SingularFimError, crb_frequencies, fim
+from .crb import CrbParameterization, SingularFimError, crb_frequencies
 from .inference import (
     ALGORITHM_CASES,
     EstimationResult,
@@ -54,7 +54,6 @@ __all__ = [
     "bessel_ratio",
     "cbf_spectrum",
     "crb_frequencies",
-    "fim",
     "gated_freq_mse",
     "moment_vector",
     "omega_to_theta",

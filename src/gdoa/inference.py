@@ -55,9 +55,6 @@ class NoiseEstimate:
                              f"got shape {v.shape}")
         return np.expand_dims(v, self.case.tied_axes)
 
-    def full_grid(self, M: int, L: int) -> np.ndarray:
-        return np.broadcast_to(self.compact_grid(M, L), (M, L))
-
 
 @dataclass
 class HyperParams:

@@ -16,10 +16,10 @@ with a header row.  Parse errors name the offending key.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import asdict
-from functools import partial
 
 import numpy as np
 
@@ -66,7 +66,6 @@ def _write_json(path, doc: dict) -> None:
 
 
 _REQUIRED = object()
-_float_array = partial(np.asarray, dtype=float)
 
 
 def _field(doc: dict, key: str, where, convert, default=_REQUIRED):
@@ -98,6 +97,20 @@ def _exactly(*types):
 def _real(value) -> float:
     """A JSON number as a float; strings and booleans are rejected, not coerced."""
     return float(_exactly(int, float)(value))
+
+
+def _number_array(value) -> np.ndarray:
+    """A JSON array of numbers, or of arrays of numbers, as a float array; nothing is coerced.
+
+    One type check per array, not per item: a scene holds thousands of numbers.
+    """
+    items = _exactly(list)(value)
+    if items and type(items[0]) is list:
+        items = itertools.chain.from_iterable(items)
+    bad = set(map(type, items)) - {int, float}
+    if bad:
+        raise TypeError(f"expected JSON numbers, got {' and '.join(sorted(t.__name__ for t in bad))}")
+    return np.asarray(value, dtype=float)
 
 
 def _array_of(convert):
@@ -210,7 +223,7 @@ def _cplx_to_json(arr: np.ndarray) -> dict:
 def _cplx_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError("must be an object with 're' and 'im' arrays")
-    re, im = _float_array(obj["re"]), _float_array(obj["im"])
+    re, im = _number_array(obj["re"]), _number_array(obj["im"])
     if re.shape != im.shape:
         raise ValueError(f"'re' shape {re.shape} differs from 'im' shape {im.shape}")
     return _complex_from_parts(re, im)
@@ -227,9 +240,9 @@ def write_scene(path, scene: SyntheticScene) -> None:
 
 def read_scene(path) -> SyntheticScene:
     doc = _read_json(path)
-    omegas = _field(doc, "omegas", path, _float_array)
+    omegas = _field(doc, "omegas", path, _number_array)
     weights = _field(doc, "weights", path, _cplx_from_json)
-    noise_variances = _field(doc, "noise_variances", path, _float_array)
+    noise_variances = _field(doc, "noise_variances", path, _number_array)
     if noise_variances.ndim != 2:
         raise FormatError(f"{path}: key 'noise_variances' must be an M x L grid, "
                           f"got shape {noise_variances.shape}")

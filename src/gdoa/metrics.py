@@ -49,18 +49,17 @@ def nmse_ratio(Z_hat: np.ndarray, Z_true: np.ndarray) -> float:
 def gated_freq_mse(omega_hat, omega_true, N: int) -> GatedFreqError | None:
     """Optimally matched frequency MSE, or None when the trial is gated out.
 
-    Gate: the estimate count equals the truth count and every matched wrapped
+    Gate: the estimate count equals the truth count, which is not zero (a
+    scene without sources has no frequency error), and every matched wrapped
     error is <= pi/N.  Truths and estimates are sorted by wrapped angle and
     paired under the cyclic shift with the least sum of squared wrapped
     errors (ties go to the smallest shift); the value is 10*log10 of that sum.
     """
     hat = np.atleast_1d(np.asarray(omega_hat, dtype=float))
     true = np.atleast_1d(np.asarray(omega_true, dtype=float))
-    if hat.shape != true.shape:
-        return None
     K = true.size
-    if K == 0:
-        return GatedFreqError(db=EXACT_DB, sq_error=0.0, assignment=np.array([], dtype=int))
+    if hat.shape != true.shape or K == 0:
+        return None
     true_order = np.argsort(wrap_angle(true), kind="stable")
     hat_order = np.argsort(wrap_angle(hat), kind="stable")
     # row s pairs the i-th smallest truth with the ((i + s) mod K)-th smallest estimate

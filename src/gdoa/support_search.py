@@ -6,15 +6,19 @@ The score of a binary activation vector s with active set S is
               - sum_l [ ln det(A_l) + |S| * ln(tau) - H_{S,l}^H A_l^{-1} H_{S,l} ]
 
 with ``A_l = [J_l]_S + I/tau``.  The greedy search flips one bit at a time,
-always the one with the largest score gain.  The per-snapshot weight
-posterior ``C_l = A_l^{-1}``, ``x_l = C_l H_{S,l}`` has one source: a direct
-solve for the current support, redone after every flip.  The gains of all N
-candidate flips are read off that posterior in a single batched pass.
+always the one with the largest score gain.
 
-The workspace stores the quadratic forms and covariances as stacked
-(L, N, N) and (L, k, k) arrays, or as a single (1, N, N) / (1, k, k) slice
-when every snapshot shares them (noise Cases I and III); the per-snapshot
-weights x and linear terms H always carry L columns.
+``A_l`` is factored once per support, by one batched Cholesky, and the
+search keeps the inverse factor ``R_l = chol(A_l)^{-1}`` (lower triangular).
+Everything else reads R: the weight posterior ``C_l = R_l^H R_l``,
+``x_l = R_l^H R_l H_{S,l}``; the evidence score, through
+``ln det A_l = -2 sum ln diag R_l`` and ``H^H A_l^{-1} H = ||R_l H_{S,l}||^2``;
+and the gains of all N candidate flips, in a single batched pass.
+
+The workspace stores the quadratic forms and factors as stacked (L, N, N)
+and (L, k, k) arrays, or as a single (1, N, N) / (1, k, k) slice when every
+snapshot shares them (noise Cases I and III); the per-snapshot weights x and
+linear terms H always carry L columns.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ FLIP_BUDGET_FACTOR = 10
 
 
 class NumericalError(RuntimeError):
-    """A quantity that must be positive (Schur complement, variance, det) was not."""
+    """A quantity that must be positive (Schur complement, posterior system) was not."""
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,14 @@ class SupportState:
 
 @dataclass
 class SearchWorkspace:
-    """Cached quadratic-form data for one greedy search.
+    """Cached quadratic-form data and the factor of one support, for one greedy search.
 
-    ``order`` lists the active indices in ascending order; ``C`` and ``x``
+    ``order`` lists the active indices in ascending order; ``R`` and ``x``
     are indexed accordingly.  Invariants, restored by ``_refresh`` after
-    every flip: C_l = ([J_l]_order + I/tau)^{-1} and
-    x[:, l] = C_l @ H[order, l].  ``J`` and ``C`` have a leading axis of
-    length L, or of length 1 when one slice stands for every snapshot (noise
-    Cases I and III); the snapshot count comes from ``H``.
+    every flip: R_l = chol([J_l]_order + I/tau)^{-1}, lower triangular, and
+    x[:, l] = R_l^H R_l @ H[order, l].  ``J`` and ``R`` have a leading axis
+    of length L, or of length 1 when one slice stands for every snapshot
+    (noise Cases I and III); the snapshot count comes from ``H``.
     """
 
     J: np.ndarray            # (L, N, N) or (1, N, N) Hermitian, diagonal = tr(Sigma_l^{-1})
@@ -72,7 +76,7 @@ class SearchWorkspace:
     rho: float
     tau: float
     order: list[int] = field(default_factory=list)
-    C: np.ndarray = None     # (L, k, k) or (1, k, k), like J
+    R: np.ndarray = None     # (L, k, k) or (1, k, k), like J
     x: np.ndarray = None     # (k, L)
     flips: int = 0
 
@@ -88,9 +92,17 @@ class SearchWorkspace:
         return math.log(self.rho) - math.log1p(-self.rho)
 
     @property
+    def C(self) -> np.ndarray:
+        """Weight posterior covariances C_l = R_l^H R_l, shaped like R."""
+        return np.conj(np.swapaxes(self.R, 1, 2)) @ self.R
+
+    @property
     def ln_z(self) -> float:
-        """Evidence score of the current support, computed on demand."""
-        return _score(self.J, self.H, self.rho, self.tau, self.order)
+        """Evidence score of the current support, read off R."""
+        k = len(self.order)
+        lndet_C = 2.0 * np.log(np.einsum("lkk->lk", self.R).real).sum() * (self.L // self.R.shape[0])
+        quad = float((np.abs(np.einsum("lij,jl->il", self.R, self.H[self.order, :])) ** 2).sum())
+        return k * self.log_odds() + lndet_C - self.L * k * math.log(self.tau) + quad
 
 
 def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
@@ -130,7 +142,7 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
 
 
 def make_workspace(J: np.ndarray, H: np.ndarray, rho: float, tau: float, support=()) -> SearchWorkspace:
-    """Build a workspace warm-started at the given support (direct solves)."""
+    """Build a workspace warm-started at the given support (one factorisation)."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if not tau > 0.0:
@@ -141,32 +153,12 @@ def make_workspace(J: np.ndarray, H: np.ndarray, rho: float, tau: float, support
     return ws
 
 
-def _score(J, H, rho, tau, indices) -> float:
-    """Evidence score of an arbitrary support, from scratch."""
-    idx = list(indices)
-    k = len(idx)
-    log_odds = math.log(rho) - math.log1p(-rho)
-    if k == 0:
-        return 0.0
-    A = J[:, idx][:, :, idx] + np.eye(k) / tau
-    try:
-        chol = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"support system not positive definite: {exc}") from exc
-    L = H.shape[1]
-    lndet = 2.0 * np.log(np.einsum("lkk->lk", chol).real).sum() * (L // J.shape[0])
-    Hs = H[idx, :]
-    z = np.linalg.solve(chol, Hs.T[:, :, None])[..., 0]  # (L, k)
-    quad = float((np.abs(z) ** 2).sum())
-    return k * log_odds - lndet - L * k * math.log(tau) + quad
-
-
 def ln_z(s, workspace: SearchWorkspace) -> float:
     """Score of the binary vector ``s`` under the workspace's J, H, rho, tau."""
     s = np.asarray(s, dtype=bool)
     if s.shape != (workspace.N,):
         raise ValueError(f"s must have shape ({workspace.N},), got {s.shape}")
-    return _score(workspace.J, workspace.H, workspace.rho, workspace.tau, np.flatnonzero(s))
+    return make_workspace(workspace.J, workspace.H, workspace.rho, workspace.tau, np.flatnonzero(s)).ln_z
 
 
 def delta_activate(k: int, ws: SearchWorkspace) -> float:
@@ -184,7 +176,7 @@ def delta_deactivate(k: int, ws: SearchWorkspace) -> float:
 
 
 def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
-    """Flip index k in place and re-solve the posteriors of the new support."""
+    """Flip index k in place and factor the posterior system of the new support."""
     if k in ws.order:
         ws.order.remove(k)
     else:
@@ -195,19 +187,14 @@ def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
 
 
 def _refresh(ws: SearchWorkspace) -> None:
-    """Solve the posteriors of the current support directly."""
-    k = len(ws.order)
-    if k == 0:
-        ws.C = np.zeros((ws.J.shape[0], 0, 0), dtype=np.complex128)
-        ws.x = np.zeros((0, ws.L), dtype=np.complex128)
-        return
-    A = ws.J[:, ws.order][:, :, ws.order] + np.eye(k) / ws.tau
+    """Factor A_l = [J_l]_S + I/tau of the current support; set R and x from the one factor."""
+    A = ws.J[:, ws.order][:, :, ws.order] + np.eye(len(ws.order)) / ws.tau
     try:
-        C = np.linalg.inv(A)
+        ws.R = np.linalg.inv(np.linalg.cholesky(A))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"posterior system not invertible: {exc}") from exc
-    ws.C = 0.5 * (C + np.conj(np.swapaxes(C, 1, 2)))
-    ws.x = np.einsum("lij,jl->il", ws.C, ws.H[ws.order, :])
+        raise NumericalError(f"posterior system not positive definite: {exc}") from exc
+    z = np.einsum("lij,jl->il", ws.R, ws.H[ws.order, :])
+    ws.x = np.einsum("lji,jl->il", np.conj(ws.R), z)
 
 
 def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
@@ -220,8 +207,7 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
 
     if inactive:
         Jsel = ws.J[:, active][:, :, inactive]                # (L or 1, s, m)
-        T = ws.C @ Jsel                                       # (L or 1, s, m)
-        quad = np.einsum("lsm,lsm->lm", np.conj(Jsel), T).real
+        quad = (np.abs(ws.R @ Jsel) ** 2).sum(axis=1)         # diag of Jsel^H C Jsel, (L or 1, m)
         tr_inv = ws.J[:, 0, 0].real                           # the constant diagonal, tr(Sigma_l^{-1})
         denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
         if np.any(denom <= 0):
@@ -232,9 +218,7 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
         deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
 
     if active:
-        cpp = np.einsum("lkk->lk", ws.C).real
-        if np.any(cpp <= 0):
-            raise NumericalError("nonpositive posterior variance in candidate sweep")
+        cpp = (np.abs(ws.R) ** 2).sum(axis=1)                 # diag of C: the column norms of R
         deltas[active] = -(np.log(cpp / ws.tau) + np.abs(ws.x.T) ** 2 / cpp).sum(axis=0) - log_odds
 
     return deltas

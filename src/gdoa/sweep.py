@@ -185,8 +185,7 @@ def _db_of_mean(values: list[float]) -> float:
     return EXACT_DB if mean == 0.0 else 10.0 * math.log10(mean)
 
 
-def run_sweep(config: SweepConfig, master_seed: int | None = None, workers: int = 1,
-              progress=None) -> ResultTable:
+def run_sweep(config: SweepConfig, master_seed: int | None = None, workers: int = 1) -> ResultTable:
     """Run the full sweep and aggregate into one row per (algorithm, value)."""
     master = config.base.seed if master_seed is None else int(master_seed)
     jobs = [(config, vi, t, master) for vi in range(len(config.values)) for t in range(config.trials)]
@@ -195,10 +194,8 @@ def run_sweep(config: SweepConfig, master_seed: int | None = None, workers: int 
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # both maps yield in job order, which is the (value, trial) aggregation order
         trials = pool.map(_trial_job, jobs, chunksize=4) if pool else map(_trial_job, jobs)
-        for done, recs in enumerate(trials, 1):
+        for recs in trials:
             records.extend(recs)
-            if progress:
-                progress(done, len(jobs))
 
     rows = []
     for algo in config.algorithms:

@@ -168,7 +168,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize("doc, cause", [
         (5, "expected a JSON object, got int"),
         ({"omegas": ["a"], "weights": {"re": [], "im": []}, "noise_variances": [[1.0]]}, "key 'omegas'"),
-    ], ids=["number", "omegas-string"])
+        ({"omegas": ["0.5"], "weights": {"re": [[1.0]], "im": [[0.0]]}, "noise_variances": [[0.1]]},
+         "key 'omegas'"),
+        ({"omegas": [0.5], "weights": {"re": [[True, 1.0]], "im": [[0.0, 0.0]]},
+          "noise_variances": [[0.1, 0.1]]}, "key 'weights'"),
+        ({"omegas": [0.5], "weights": {"re": [[1.0, 1.0]], "im": [[0.0, 0.0]]},
+          "noise_variances": [["1e-2", 0.1], [0.1, 0.1]]}, "key 'noise_variances'"),
+    ], ids=["number", "omegas-string", "omegas-numeric-string", "weights-bool", "variances-numeric-string"])
     def test_crb_names_cause(self, tmp_path, capsys, doc, cause):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(doc))
@@ -250,6 +256,7 @@ class TestMc:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [row["mean_nmse_db"] for row in rows] == ["nan"] * 4
+        assert [(row["mean_freq_mse_db"], row["gated_trials"]) for row in rows] == [("nan", "0")] * 4
         assert all(0.0 <= float(row["p_correct_order"]) <= 1.0 for row in rows if row["algorithm"] == "MVALSE")
 
     def test_output_path_required(self, tmp_path, capsys):

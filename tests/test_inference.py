@@ -59,7 +59,7 @@ def eta_oracle(state, Y, i):
     S = list(state.support.active_set)
     p = S.index(i)
     M, L = Y.shape
-    grid = state.noise.full_grid(M, L)
+    grid = np.broadcast_to(state.noise.compact_grid(M, L), (M, L))
     eta = np.zeros(M, dtype=complex)
     for l in range(L):
         sigma_inv = np.diag(1.0 / grid[:, l])
@@ -197,7 +197,7 @@ class TestWeightSupportUpdate:
         Y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         update_weights_support(state, Y)
         S = list(state.support.active_set)
-        J, H = compute_jh(state.moments, state.noise.full_grid(8, 3), Y)
+        J, H = compute_jh(state.moments, np.broadcast_to(state.noise.compact_grid(8, 3), (8, 3)), Y)
         for l in range(3):
             A = J[l][np.ix_(S, S)] + np.eye(len(S)) / state.hyper.tau
             C_ref = np.linalg.inv(A)
@@ -207,7 +207,7 @@ class TestWeightSupportUpdate:
     def test_score_never_decreases(self, rng):
         state = make_state(rng, M=8, N=8, L=3, active=(0, 2))
         Y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        J, H = compute_jh(state.moments, state.noise.full_grid(8, 3), Y)
+        J, H = compute_jh(state.moments, np.broadcast_to(state.noise.compact_grid(8, 3), (8, 3)), Y)
         ws = make_workspace(J, H, state.hyper.rho, state.hyper.tau)
         before = ln_z(state.support.s, ws)
         update_weights_support(state, Y)
@@ -281,7 +281,7 @@ class TestNoiseEstimate:
     ])
     def test_full_grid_rejects_wrong_shape(self, case, bad):
         with pytest.raises(ValueError, match=f"Case {case.value} expects .* got shape"):
-            NoiseEstimate(case=case, values=bad).full_grid(6, 3)
+            NoiseEstimate(case=case, values=bad).compact_grid(6, 3)
 
 
 class TestNoiseUpdate:

@@ -5,6 +5,7 @@ from conftest import random_instance, random_moments, random_variances, workspac
 from gdoa.inference import NoiseCase, update_hyperparams, update_weights_support
 from gdoa.model import steering_matrix
 from gdoa.support_search import (
+    NumericalError,
     SupportState,
     _sweep_deltas,
     apply_flip,
@@ -194,7 +195,7 @@ class TestStructuredJ:
         update_weights_support(state, Y)
         S = list(state.support.active_set)
         assert S
-        J, H = compute_jh(state.moments, np.array(state.noise.full_grid(M, L)), Y)
+        J, H = compute_jh(state.moments, np.array(np.broadcast_to(state.noise.compact_grid(M, L), (M, L))), Y)
         energy = trace = 0.0
         for l in range(L):
             C_l = np.linalg.inv(J[l][np.ix_(S, S)] + np.eye(len(S)) / tau0)
@@ -203,6 +204,35 @@ class TestStructuredJ:
         update_hyperparams(state)
         assert state.weight_covs.shape == (1, len(S), len(S))
         assert state.hyper.tau == pytest.approx((energy + trace) / (L * len(S)), rel=1e-10)
+
+
+LAYOUTS = [(0, 1), (0,), (1,), ()]
+
+
+class TestFactor:
+    @pytest.mark.parametrize("tied_axes", LAYOUTS, ids=str)
+    def test_scores_match_dense(self, rng, tied_axes):
+        for trial in range(25):
+            inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=tied_axes)
+            support = sorted(rng.choice(8, size=trial % 5, replace=False).tolist())
+            expected = dense_score(inst, support, inst["rho"], inst["tau"])
+            for got in (workspace_of(inst, support).ln_z, ln_z(support_vec(8, support), workspace_of(inst))):
+                assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("tied_axes", LAYOUTS, ids=str)
+    def test_factor_is_triangular_and_gives_dense_inverse(self, rng, tied_axes):
+        for trial in range(25):
+            inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=tied_axes)
+            ws = workspace_of(inst, rng.choice(8, size=1 + trial % 5, replace=False).tolist())
+            assert np.abs(np.triu(ws.R, 1)).max() <= 1e-14 * np.abs(ws.R).max()
+            C_ref, _ = dense_posteriors(inst, ws.order, inst["tau"])
+            assert ws.C.shape[0] == ws.J.shape[0]
+            assert np.abs(np.broadcast_to(ws.C, C_ref.shape) - C_ref).max() <= 1e-10 * np.abs(C_ref).max()
+
+    def test_indefinite_system_rejected(self, rng):
+        inst = random_instance(rng)
+        with pytest.raises(NumericalError, match="positive definite"):
+            make_workspace(-5.0 * np.eye(8)[None], inst["H"], 0.5, 1.0, support=(0, 3))
 
 
 class TestLnZ:
