@@ -94,10 +94,13 @@ class InferenceState:
     moments: np.ndarray            # (M, N) expected steering vectors
     support: SupportState
     weight_means: np.ndarray       # (k, L), rows in ascending support order
-    weight_covs: np.ndarray        # (L, k, k), same ordering; (1, k, k) when shared (Cases I, III)
+    weight_covs: np.ndarray        # (L, k, k), same ordering; (1, k, k) when shared (Cases I, III);
+                                   # in Case II built from the eigenbasis in weight_eig
     hyper: HyperParams
     noise: NoiseEstimate
     noise_floor: float
+    # Case II's one eigenbasis: (V (k, k), d (L, k)) with weight_covs[l] = V diag(d[l]) V^H
+    weight_eig: tuple[np.ndarray, np.ndarray] | None = None
     iteration: int = 0
 
 
@@ -224,6 +227,7 @@ def update_weights_support(state: InferenceState, Y: np.ndarray) -> InferenceSta
     state.support, ws = greedy_search(ws)
     state.weight_means = ws.x
     state.weight_covs = ws.C
+    state.weight_eig = None if ws.V is None else (ws.V, ws.d)
     return state
 
 
@@ -252,7 +256,11 @@ def noise_cell_quantities(state: InferenceState, Y: np.ndarray) -> np.ndarray:
     X = state.weight_means
     resid = Y - A_S @ X
     term1 = np.abs(resid) ** 2
-    term2 = ((A_S[None, :, :] @ state.weight_covs) * np.conj(A_S)[None, :, :]).sum(axis=2).real.T
+    if state.weight_eig is None:
+        term2 = ((A_S[None, :, :] @ state.weight_covs) * np.conj(A_S)[None, :, :]).sum(axis=2).real.T
+    else:
+        V, d = state.weight_eig
+        term2 = np.abs(A_S @ V) ** 2 @ d.T
     term3 = (1.0 - np.abs(A_S) ** 2) @ (np.abs(X) ** 2)
     return term1 + term2 + term3
 

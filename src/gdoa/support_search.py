@@ -8,17 +8,24 @@ The score of a binary activation vector s with active set S is
 with ``A_l = [J_l]_S + I/tau``.  The greedy search flips one bit at a time,
 always the one with the largest score gain.
 
-``A_l`` is factored once per support, by one batched Cholesky, and the
-search keeps the inverse factor ``R_l = chol(A_l)^{-1}`` (lower triangular).
-Everything else reads R: the weight posterior ``C_l = R_l^H R_l``,
-``x_l = R_l^H R_l H_{S,l}``; the evidence score, through
-``ln det A_l = -2 sum ln diag R_l`` and ``H^H A_l^{-1} H = ||R_l H_{S,l}||^2``;
-and the gains of all N candidate flips, in a single batched pass.
+``A_l`` is factored once per support, and everything else reads that one
+factorisation: the weight posterior ``C_l = A_l^{-1}``, ``x_l = C_l H_{S,l}``,
+the evidence score and the gains of all N candidate flips, in a single
+batched pass.  The factorisation takes one of two forms:
 
-The workspace stores the quadratic forms and factors as stacked (L, N, N)
-and (L, k, k) arrays, or as a single (1, N, N) / (1, k, k) slice when every
-snapshot shares them (noise Cases I and III); the per-snapshot weights x and
-linear terms H always carry L columns.
+* Cholesky: one batched Cholesky, kept as the inverse factor
+  ``R_l = chol(A_l)^{-1}`` (lower triangular), so ``C_l = R_l^H R_l``,
+  ``ln det A_l = -2 sum ln diag R_l`` and ``H^H A_l^{-1} H = ||R_l H_{S,l}||^2``.
+  The quadratic forms and factors are stacked (L, N, N) and (L, k, k)
+  arrays, or a single (1, N, N) / (1, k, k) slice when every snapshot
+  shares them (noise Cases I and III).
+* Eigenbasis: noise tied over antennas (Case II) gives ``J_l = w_l G`` for one
+  Gram G, so one ``eigh`` of ``G_S = V diag(lambda) V^H`` diagonalises every
+  ``A_l``: ``C_l = V diag(d_l) V^H`` with ``d_{l,j} = 1/(lambda_j w_l + 1/tau)``.
+  The workspace keeps G, the L precisions w, the (k, k) basis V and the
+  (L, k) eigenvalues d, and no per-snapshot matrix.
+
+The per-snapshot weights x and linear terms H always carry L columns.
 """
 
 from __future__ import annotations
@@ -59,24 +66,37 @@ class SupportState:
         return len(self.active_set)
 
 
+@dataclass(frozen=True)
+class ScaledGram:
+    """Quadratic forms ``J_l = w_l G`` of noise tied over antennas (Case II)."""
+
+    G: np.ndarray            # (N, N) Hermitian Gram A^H A, diagonal pinned to M
+    w: np.ndarray            # (L,) per-snapshot precisions 1/s_l
+
+
 @dataclass
 class SearchWorkspace:
-    """Cached quadratic-form data and the factor of one support, for one greedy search.
+    """Cached quadratic-form data and the factorisation of one support, for one greedy search.
 
-    ``order`` lists the active indices in ascending order; ``R`` and ``x``
-    are indexed accordingly.  Invariants, restored by ``_refresh`` after
-    every flip: R_l = chol([J_l]_order + I/tau)^{-1}, lower triangular, and
-    x[:, l] = R_l^H R_l @ H[order, l].  ``J`` and ``R`` have a leading axis
-    of length L, or of length 1 when one slice stands for every snapshot
-    (noise Cases I and III); the snapshot count comes from ``H``.
+    ``order`` lists the active indices in ascending order; ``R`` (or ``V``)
+    and ``x`` are indexed accordingly.  Invariants, restored by ``_refresh``
+    after every flip: x[:, l] = C_l @ H[order, l], and either
+    R_l = chol([J_l]_order + I/tau)^{-1}, lower triangular, when ``J`` is an
+    array, or G[order][:, order] = V diag(lambda) V^H and
+    d[l] = 1/(lambda w_l + 1/tau) when ``J`` is a :class:`ScaledGram`.  An
+    array ``J`` and ``R`` have a leading axis of length L, or of length 1
+    when one slice stands for every snapshot (noise Cases I and III); the
+    snapshot count comes from ``H``.
     """
 
-    J: np.ndarray            # (L, N, N) or (1, N, N) Hermitian, diagonal = tr(Sigma_l^{-1})
+    J: np.ndarray | ScaledGram   # (L, N, N) or (1, N, N) Hermitian, diagonal = tr(Sigma_l^{-1})
     H: np.ndarray            # (N, L)
     rho: float
     tau: float
     order: list[int] = field(default_factory=list)
-    R: np.ndarray = None     # (L, k, k) or (1, k, k), like J
+    R: np.ndarray = None     # (L, k, k) or (1, k, k), like J; Cholesky form only
+    V: np.ndarray = None     # (k, k) unitary eigenbasis of G_S; eigenbasis form only
+    d: np.ndarray = None     # (L, k) eigenvalues of C_l; eigenbasis form only
     x: np.ndarray = None     # (k, L)
     flips: int = 0
 
@@ -86,22 +106,29 @@ class SearchWorkspace:
 
     @property
     def N(self) -> int:
-        return self.J.shape[1]
+        return self.H.shape[0]
 
     def log_odds(self) -> float:
         return math.log(self.rho) - math.log1p(-self.rho)
 
     @property
     def C(self) -> np.ndarray:
-        """Weight posterior covariances C_l = R_l^H R_l, shaped like R."""
+        """Weight posterior covariances C_l, (L, k, k), or (1, k, k) when shared."""
+        if isinstance(self.J, ScaledGram):
+            return (self.V * self.d[:, None, :]) @ np.conj(self.V.T)
         return np.conj(np.swapaxes(self.R, 1, 2)) @ self.R
 
     @property
     def ln_z(self) -> float:
-        """Evidence score of the current support, read off R."""
+        """Evidence score of the current support, read off the factorisation."""
         k = len(self.order)
-        lndet_C = 2.0 * np.log(np.einsum("lkk->lk", self.R).real).sum() * (self.L // self.R.shape[0])
-        quad = float((np.abs(np.einsum("lij,jl->il", self.R, self.H[self.order, :])) ** 2).sum())
+        H_S = self.H[self.order, :]
+        if isinstance(self.J, ScaledGram):
+            lndet_C = np.log(self.d).sum()
+            quad = float((self.d.T * np.abs(np.conj(self.V.T) @ H_S) ** 2).sum())
+        else:
+            lndet_C = 2.0 * np.log(np.einsum("lkk->lk", self.R).real).sum() * (self.L // self.R.shape[0])
+            quad = float((np.abs(np.einsum("lij,jl->il", self.R, H_S)) ** 2).sum())
         return k * self.log_odds() + lndet_C - self.L * k * math.log(self.tau) + quad
 
 
@@ -113,11 +140,14 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
     ``H[:, l] = A^H Sigma_l^{-1} y_l``.
 
     ``variances`` is the (M, L) variance grid or that grid with its tied axes
-    kept at length 1: (1, 1), (1, L) or (M, 1).  J is (L, N, N), or (1, N, N)
-    when the variances do not vary over snapshots.  Variances tied over
-    antennas give ``J_l = G / s_l`` for one Gram ``G = A^H A`` with diagonal
-    M; variances that vary over antennas need ``A^H diag(1/nu_l) A`` per
-    snapshot column of the grid.
+    kept at length 1: (1, 1), (1, L) or (M, 1).  Variances tied over antennas
+    give ``J_l = G / s_l`` for one Gram ``G = A^H A`` with diagonal M: J is
+    that Gram, (1, N, N), when one variance stands for every cell (Case I),
+    and the :class:`ScaledGram` of G and the precisions ``1/s_l`` when it
+    varies over snapshots (Case II), so the search works in G's eigenbasis
+    and no (L, N, N) stack is built.  Variances that vary over antennas need
+    ``A^H diag(1/nu_l) A`` per snapshot column of the grid: J is (1, N, N)
+    in Case III and (L, N, N) in Case IV.
     """
     A = np.asarray(moments, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
@@ -133,7 +163,7 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
     if nu.shape[0] == 1:
         G = Ah @ A
         G[idx, idx] = M
-        J = G[None, :, :] * W[0][:, None, None]
+        J = ScaledGram(G=G, w=W[0]) if nu.shape[1] > 1 else G[None, :, :] * W[0][:, None, None]
     else:
         J = (Ah[None, :, :] * W.T[:, None, :]) @ A
         J[:, idx, idx] = W.sum(axis=0)[:, None]
@@ -141,13 +171,14 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
     return J, H
 
 
-def make_workspace(J: np.ndarray, H: np.ndarray, rho: float, tau: float, support=()) -> SearchWorkspace:
+def make_workspace(J: np.ndarray | ScaledGram, H: np.ndarray, rho: float, tau: float, support=()) -> SearchWorkspace:
     """Build a workspace warm-started at the given support (one factorisation)."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    ws = SearchWorkspace(J=np.asarray(J), H=np.asarray(H), rho=float(rho), tau=float(tau),
+    J = J if isinstance(J, ScaledGram) else np.asarray(J)
+    ws = SearchWorkspace(J=J, H=np.asarray(H), rho=float(rho), tau=float(tau),
                          order=sorted(int(i) for i in support))
     _refresh(ws)
     return ws
@@ -187,13 +218,25 @@ def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
 
 
 def _refresh(ws: SearchWorkspace) -> None:
-    """Factor A_l = [J_l]_S + I/tau of the current support; set R and x from the one factor."""
+    """Factor A_l = [J_l]_S + I/tau of the current support; set R (or V, d) and x from it."""
+    H_S = ws.H[ws.order, :]
+    if isinstance(ws.J, ScaledGram):
+        try:
+            lam, ws.V = np.linalg.eigh(ws.J.G[np.ix_(ws.order, ws.order)])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"posterior system not positive definite: {exc}") from exc
+        prec = ws.J.w[:, None] * lam + 1.0 / ws.tau         # (L, k) eigenvalues of A_l
+        if not np.all(prec > 0):
+            raise NumericalError(f"posterior system not positive definite: eigenvalue {prec.min():.3g}")
+        ws.d = 1.0 / prec
+        ws.x = ws.V @ (ws.d.T * (np.conj(ws.V.T) @ H_S))
+        return
     A = ws.J[:, ws.order][:, :, ws.order] + np.eye(len(ws.order)) / ws.tau
     try:
         ws.R = np.linalg.inv(np.linalg.cholesky(A))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior system not positive definite: {exc}") from exc
-    z = np.einsum("lij,jl->il", ws.R, ws.H[ws.order, :])
+    z = np.einsum("lij,jl->il", ws.R, H_S)
     ws.x = np.einsum("lji,jl->il", np.conj(ws.R), z)
 
 
@@ -206,19 +249,30 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
     log_odds = ws.log_odds()
 
     if inactive:
-        Jsel = ws.J[:, active][:, :, inactive]                # (L or 1, s, m)
-        quad = (np.abs(ws.R @ Jsel) ** 2).sum(axis=1)         # diag of Jsel^H C Jsel, (L or 1, m)
-        tr_inv = ws.J[:, 0, 0].real                           # the constant diagonal, tr(Sigma_l^{-1})
+        # per snapshot and candidate m: quad = J_{S,m}^H C J_{S,m}, cross = J_{S,m}^H x, tr_inv = J_mm
+        if isinstance(ws.J, ScaledGram):
+            w = ws.J.w
+            Gsel = ws.J.G[np.ix_(active, inactive)]          # (s, m)
+            quad = (ws.d * w[:, None] ** 2) @ (np.abs(np.conj(ws.V.T) @ Gsel) ** 2)
+            cross = w[:, None] * (np.conj(Gsel.T) @ ws.x).T
+            tr_inv = ws.J.G[0, 0].real * w
+        else:
+            Jsel = ws.J[:, active][:, :, inactive]            # (L or 1, s, m)
+            quad = (np.abs(ws.R @ Jsel) ** 2).sum(axis=1)     # (L or 1, m)
+            cross = np.einsum("lsm,sl->lm", np.conj(Jsel), ws.x)
+            tr_inv = ws.J[:, 0, 0].real                       # the constant diagonal, tr(Sigma_l^{-1})
         denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
         if np.any(denom <= 0):
             raise NumericalError("nonpositive Schur complement in candidate sweep")
         v = 1.0 / denom
-        cross = np.einsum("lsm,sl->lm", np.conj(Jsel), ws.x)
         u = v * (ws.H[inactive, :].T - cross)
         deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
 
     if active:
-        cpp = (np.abs(ws.R) ** 2).sum(axis=1)                 # diag of C: the column norms of R
+        if isinstance(ws.J, ScaledGram):
+            cpp = (np.abs(ws.V) ** 2 @ ws.d.T).T              # diag of C_l = V diag(d_l) V^H
+        else:
+            cpp = (np.abs(ws.R) ** 2).sum(axis=1)             # diag of C: the column norms of R
         deltas[active] = -(np.log(cpp / ws.tau) + np.abs(ws.x.T) ** 2 / cpp).sum(axis=0) - log_odds
 
     return deltas

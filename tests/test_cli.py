@@ -95,6 +95,21 @@ class TestSynthEstimate:
         assert code == 1
         assert "error: posterior system not invertible" in capsys.readouterr().err
 
+    def test_case_ii_factorisation_failure_is_clean_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_scenario(tmp_path / "cfg.json")
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        code = main(["estimate", str(tmp_path / "d.snapshots.txt"), "--algo", "MVHN-S",
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and not (tmp_path / "r.json").exists()
+        assert err.startswith("error: posterior system not positive definite: Eigenvalues did not converge")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("shape", [(1, 4), (4, 0)], ids=["one-antenna", "no-snapshot"])
     def test_too_small_array_names_the_cause(self, tmp_path, capsys, shape):
         path = tmp_path / "y.txt"

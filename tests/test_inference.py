@@ -239,6 +239,40 @@ class TestSharedCovariance:
         close(state.hyper.tau, spread.hyper.tau)
 
 
+class TestCaseIIEigenbasis:
+    def test_updates_match_the_dense_per_snapshot_formulas(self, rng):
+        M, L = 8, 5
+        for _ in range(5):
+            state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=NoiseCase.II)
+            X = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, L)))
+            Y = state.moments[:, [0, 2, 5]] @ X + 0.1 * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+            tau0 = state.hyper.tau
+            update_weights_support(state, Y)
+            S = list(state.support.active_set)
+            k = len(S)
+            assert k and state.weight_eig is not None
+            V, d = state.weight_eig
+            assert V.shape == (k, k) and d.shape == (L, k)
+            C = np.array([V @ np.diag(d[l]) @ V.conj().T for l in range(L)])
+            J, H = compute_jh(state.moments, np.broadcast_to(state.noise.compact_grid(M, L), (M, L)), Y)
+            for l in range(L):
+                C_ref = np.linalg.inv(J[l][np.ix_(S, S)] + np.eye(k) / tau0)
+                np.testing.assert_allclose(C[l], C_ref, rtol=0, atol=1e-10 * np.abs(C_ref).max())
+                np.testing.assert_allclose(state.weight_means[:, l], C_ref @ H[S, l], rtol=0,
+                                           atol=1e-10 * np.abs(C_ref @ H[S, l]).max())
+            dense = dataclasses.replace(state, weight_covs=C, weight_eig=None)
+
+            def close(got, want):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+            close(noise_cell_quantities(state, Y), noise_cell_quantities(dense, Y))
+            for i in S:
+                close(frequency_eta(state, Y, i), eta_oracle(dense, Y, i))
+            update_hyperparams(state)
+            energy = np.sum(np.abs(state.weight_means) ** 2)
+            close(state.hyper.tau, (energy + sum(np.trace(C[l]).real for l in range(L))) / (L * k))
+
+
 class TestHyperUpdate:
     def test_full_support_clamps_rho(self, rng):
         state = make_state(rng, active=(0, 1, 2, 3, 4, 5))

@@ -6,6 +6,7 @@ from gdoa.inference import NoiseCase, update_hyperparams, update_weights_support
 from gdoa.model import steering_matrix
 from gdoa.support_search import (
     NumericalError,
+    ScaledGram,
     SupportState,
     _sweep_deltas,
     apply_flip,
@@ -19,10 +20,16 @@ from gdoa.support_search import (
 from test_inference import make_state
 
 
+def spread_j(J, L):
+    """J as one (N, N) matrix per snapshot: Case II's w_l G expanded, a shared slice repeated."""
+    if isinstance(J, ScaledGram):
+        return J.w[:, None, None] * J.G
+    return np.broadcast_to(J, (L,) + J.shape[1:])
+
+
 def per_snapshot_j(inst):
     """J spread to one (N, N) matrix per snapshot, shared or not."""
-    L, N = inst["H"].shape[1], inst["H"].shape[0]
-    return np.broadcast_to(inst["J"], (L, N, N))
+    return spread_j(inst["J"], inst["H"].shape[1])
 
 
 def dense_posteriors(inst, order, tau):
@@ -136,8 +143,11 @@ class TestStructuredJ:
             Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
             J, H = compute_jh(A, nu, Y)
             J_full, H_full = compute_jh(A, np.broadcast_to(nu, (M, L)), Y)
-            assert J.shape == (1 if case in SHARED else L, N, N)
-            assert np.abs(np.broadcast_to(J, J_full.shape) - J_full).max() <= 1e-12 * np.abs(J_full).max()
+            if case in SHARED:
+                assert J.shape == (1, N, N)
+            else:
+                assert isinstance(J, ScaledGram) and J.G.shape == (N, N) and J.w.shape == (L,)
+            assert np.abs(spread_j(J, L) - J_full).max() <= 1e-12 * np.abs(J_full).max()
             assert np.abs(H - H_full).max() <= 1e-12 * np.abs(H_full).max()
 
     def test_full_grid_is_bitwise_unchanged(self, rng):
@@ -224,15 +234,80 @@ class TestFactor:
         for trial in range(25):
             inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=tied_axes)
             ws = workspace_of(inst, rng.choice(8, size=1 + trial % 5, replace=False).tolist())
-            assert np.abs(np.triu(ws.R, 1)).max() <= 1e-14 * np.abs(ws.R).max()
+            k = len(ws.order)
+            if tied_axes == (0,):  # Case II: one unitary eigenbasis, positive per-snapshot eigenvalues
+                assert ws.R is None and ws.d.shape == (4, k) and np.all(ws.d > 0)
+                assert np.abs(np.conj(ws.V.T) @ ws.V - np.eye(k)).max() <= 1e-14 * k
+            else:
+                assert np.abs(np.triu(ws.R, 1)).max() <= 1e-14 * np.abs(ws.R).max()
             C_ref, _ = dense_posteriors(inst, ws.order, inst["tau"])
-            assert ws.C.shape[0] == ws.J.shape[0]
+            assert ws.C.shape[0] == (1 if 1 in tied_axes else 4)
             assert np.abs(np.broadcast_to(ws.C, C_ref.shape) - C_ref).max() <= 1e-10 * np.abs(C_ref).max()
 
     def test_indefinite_system_rejected(self, rng):
         inst = random_instance(rng)
         with pytest.raises(NumericalError, match="positive definite"):
             make_workspace(-5.0 * np.eye(8)[None], inst["H"], 0.5, 1.0, support=(0, 3))
+
+
+def rel_gap(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+class TestCaseIIEigenbasis:
+    """Case II's eigenbasis workspace against the Cholesky workspace of the spread (L, N, N) stack."""
+
+    def test_compute_jh_builds_no_snapshot_stack(self, rng):
+        M, N, L = 9, 6, 5
+        nu = random_variances(rng, M, L).mean(axis=0, keepdims=True)
+        Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        J, H = compute_jh(random_moments(rng, M, N), nu, Y)
+        assert isinstance(J, ScaledGram)
+        assert [a.shape for a in (J.G, J.w, H)] == [(N, N), (L,), (N, L)]
+        assert np.array_equal(np.diag(J.G).real, np.full(N, float(M)))
+        assert np.array_equal(J.w, 1.0 / nu[0])
+
+    def test_flip_sequences_match_dense_workspace(self, rng):
+        for trial in range(40):
+            inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)), tied_axes=(0,))
+            dense = spread_j(inst["J"], 5)
+            ws = workspace_of(inst, rng.choice(8, size=trial % 5, replace=False).tolist())
+            for _ in range(4):
+                ref = make_workspace(dense, inst["H"], inst["rho"], inst["tau"], support=ws.order)
+                assert ws.V is not None and ref.R is not None
+                assert abs(ws.ln_z - ref.ln_z) <= 1e-10 * max(1.0, abs(ref.ln_z))
+                for k in range(8):
+                    flip = delta_deactivate if k in ws.order else delta_activate
+                    got, want = flip(k, ws), flip(k, ref)
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+                assert ws.C.shape == ref.C.shape == (5, len(ws.order), len(ws.order))
+                if ws.order:
+                    assert rel_gap(ws.x, ref.x) <= 1e-10 and rel_gap(ws.C, ref.C) <= 1e-10
+                apply_flip(int(rng.integers(0, 8)), ws)
+
+    def test_greedy_search_reaches_the_dense_support(self, rng):
+        for _ in range(40):
+            inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)),
+                                   snr_db=float(rng.uniform(0, 20)), tied_axes=(0,))
+            support, ws = greedy_search(workspace_of(inst))
+            ref, _ = greedy_search(make_workspace(spread_j(inst["J"], 5), inst["H"], inst["rho"], inst["tau"]))
+            assert support.active_set == ref.active_set == tuple(ws.order)
+            assert_is_fresh(ws, inst)
+
+    def test_eigh_failure_is_numerical_error(self, rng, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        inst = random_instance(rng, tied_axes=(0,))
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError, match="posterior system not positive definite: Eigenvalues"):
+            workspace_of(inst, (0, 3))
+
+    def test_nonpositive_eigenvalue_rejected(self, rng):
+        inst = random_instance(rng, tied_axes=(0,))
+        J = ScaledGram(G=-5.0 * np.eye(8), w=inst["J"].w)
+        with pytest.raises(NumericalError, match="posterior system not positive definite: eigenvalue"):
+            make_workspace(J, inst["H"], 0.5, 1.0, support=(0, 3))
 
 
 class TestLnZ:

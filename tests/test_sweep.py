@@ -127,6 +127,22 @@ class TestRunSweep:
             write_result_table(path, table)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_case_ii_factorisation_failure_fails_only_its_trials(self, monkeypatch):
+        cfg = small_sweep(trials=2, include_crb=False)
+        clean = run_sweep(cfg)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        table = run_sweep(cfg)
+        assert [r.algorithm for r in table.records] == [r.algorithm for r in clean.records]
+        for got, want in zip(table.records, clean.records):
+            if got.algorithm == "MVHN-S":
+                assert (got.k_hat, got.order_correct, got.nmse, got.freq_sq_error) == (0, False, None, None)
+            else:
+                assert replace(got, runtime_s=0.0) == replace(want, runtime_s=0.0)
+
     def test_cbf_rows(self, tmp_path):
         cfg = small_sweep(algorithms=("CBF",), trials=2, include_crb=False)
         table = run_sweep(cfg)
