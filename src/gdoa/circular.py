@@ -12,6 +12,8 @@ gets the ratios from a continued fraction and a recurrence, with numpy alone.
 a cosine series with complex coefficients ``eta`` (one per antenna).  The mode
 is located by an FFT grid scan followed by Newton refinement, and the
 concentration is the negative curvature at the mode (Laplace matching).
+Each Newton evaluation is one ``exp`` and one product with the (3, M) series
+basis ``[c, i*m*c, -m^2*c]`` (``c = conj(eta)``), built once per fit.
 """
 
 from __future__ import annotations
@@ -65,43 +67,55 @@ def bessel_ratio(kappa: float, m) -> float | np.ndarray:
     order = np.asarray(m)
     if order.dtype.kind not in "iu" or np.any(order < 0):
         raise ValueError("harmonic order must be a non-negative integer")
-    kappa = float(kappa)  # Python floats overflow to inf without a warning
-    if kappa == 0.0:
-        out = (order == 0).astype(float)
-    else:
-        n0 = max(int(order.max(initial=0)), 16)
-        u = 0.0
-        for k in range(20, 0, -1):
-            u = (2 * n0 + 2 * k - 1) / (2 * n0 + k + (2.0 - u) * kappa)
-        r = [1.0] * (n0 + 2)  # r[j] = I_j/I_{j-1}; r[0] = 1 starts the product
-        r[n0 + 1] = 1.0 - u
-        for j in range(n0, 0, -1):
-            r[j] = 1.0 / (2 * j / kappa + r[j + 1])
-        out = np.cumprod(r[:-1])[order]
+    # Python floats overflow to inf without a warning
+    out = _ratio_table(float(kappa), int(order.max(initial=0)))[order]
     return float(out) if np.isscalar(m) else out
+
+
+def _ratio_table(kappa: float, n: int) -> np.ndarray:
+    """``I_j(kappa)/I_0(kappa)`` for ``j = 0..max(n, 16)``; unchecked: a Python float kappa >= 0 and n >= 0.
+
+    The one evaluation path behind :func:`bessel_ratio` and :func:`moment_vector`.
+    """
+    n0 = max(n, 16)
+    if kappa == 0.0:
+        out = np.zeros(n0 + 1)
+        out[0] = 1.0
+        return out
+    u = 0.0
+    for k in range(20, 0, -1):
+        u = (2 * n0 + 2 * k - 1) / (2 * n0 + k + (2.0 - u) * kappa)
+    r = [1.0] * (n0 + 1)  # r[j] = I_j/I_{j-1}; r[0] = 1 starts the product
+    r_j = 1.0 - u         # r_{n0+1}
+    for j in range(n0, 0, -1):
+        r_j = r[j] = 1.0 / (2 * j / kappa + r_j)
+    return np.cumprod(r)
 
 
 def moment_vector(vm: VonMises, M: int) -> np.ndarray:
     """Expected steering vector under a von Mises belief: length-M complex vector.
 
     Entry m is ``exp(1j*m*mu) * I_m(kappa)/I_0(kappa)``; entry 0 is exactly 1.
+    The orders ``0..M-1`` are valid by construction, so the ratios come from
+    the unchecked table behind :func:`bessel_ratio`, bitwise the same values.
     """
     if M < 1:
         raise ValueError(f"length must be >= 1, got {M}")
-    orders = np.arange(M)
-    return np.exp(1j * vm.mu * orders) * bessel_ratio(vm.kappa, orders)
+    return np.exp(1j * vm.mu * np.arange(M)) * _ratio_table(vm.kappa, M - 1)[:M]
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
 
-def _series_eval(eta_conj: np.ndarray, orders: np.ndarray, omega: float):
-    """Value, first and second derivative of the cosine-series log-density at omega."""
-    t = eta_conj * np.exp(1j * orders * omega)
-    f = t.real.sum()
-    fp = -(orders * t.imag).sum()
-    fpp = -(orders * orders * t.real).sum()
+def _series_basis(eta_conj: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Rows ``[c, i*m*c, -m^2*c]`` (c = conj(eta)): the series and its two derivatives, (3, M)."""
+    return np.array([eta_conj, 1j * orders * eta_conj, -(orders * orders) * eta_conj])
+
+
+def _series_eval(basis: np.ndarray, phase: np.ndarray, omega: float):
+    """Value, first and second derivative of the cosine-series log-density at omega; ``phase = 1j*orders``."""
+    f, fp, fpp = (basis @ np.exp(phase * omega)).real
     return f, fp, fpp
 
 
@@ -127,24 +141,25 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
         return VonMises(0.0, 0.0)
 
     G = _next_pow2(GRID_OVERSAMPLE * M)
-    grid = (np.fft.ifft(eta_conj, n=G) * G).real
+    grid = np.fft.ifft(eta_conj, n=G, norm="forward").real  # unscaled: sum_m conj(eta_m) e^{i m w_g}
     omega = 2.0 * np.pi * int(np.argmax(grid)) / G
 
     max_step = 2.0 * np.pi / G
     tol = GRAD_TOL * max(1.0, scale)
-    f, fp, fpp = _series_eval(eta_conj, orders, omega)
+    basis, phase = _series_basis(eta_conj, orders), 1j * orders
+    f, fp, fpp = _series_eval(basis, phase, omega)
     for _ in range(NEWTON_STEPS):
         if abs(fp) <= tol or fpp >= 0.0:
             break
         step = fp / fpp
         step = min(max(step, -max_step), max_step)
         candidate = omega - step
-        fc, fpc, fppc = _series_eval(eta_conj, orders, candidate)
+        fc, fpc, fppc = _series_eval(basis, phase, candidate)
         halvings = 0
         while fc < f and halvings < 5:  # keep ascent if Newton overshoots
             step *= 0.5
             candidate = omega - step
-            fc, fpc, fppc = _series_eval(eta_conj, orders, candidate)
+            fc, fpc, fppc = _series_eval(basis, phase, candidate)
             halvings += 1
         if fc < f:
             break

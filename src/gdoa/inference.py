@@ -12,6 +12,11 @@ quantity is averaged:
 * Case III (``MVHN-A``): mean over snapshots, one value per antenna,
 * Case IV  (``MVHN``):   no averaging.
 
+The frequency sweep keeps one inverse-variance weighted residual
+``(Y - A_S X) ⊙ W`` and refreshes it by a rank-one term after each
+component's new moment, so every component sees its predecessors' refreshed
+moments at O(ML) cost.
+
 Runs are strictly single-threaded and deterministic: given the same inputs,
 two invocations produce bitwise-identical results.
 """
@@ -134,6 +139,11 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     a time from the plain periodogram of the running residual (strongest
     remaining peak first, matched-filter weight estimate, then cancellation).
     All components start inactive.
+
+    The residual stays in the antenna domain: one zero-padded FFT of the data
+    gives the starting periodogram, each seed reads its weight estimate off
+    one DFT row, and its cancellation ``R -= a x^T`` enters the periodogram
+    as ``|f|^2 ||x||^2 - 2 Re(conj(f) FFT(R conj(x)))`` with ``f = FFT(a)``.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     M, L = Y.shape
@@ -155,20 +165,22 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     hyper = HyperParams(rho=rho, tau=tau)
 
     G = _next_pow2(16 * M)
-
+    orders = np.arange(M)
     residual = Y.copy()
-    spectra = np.fft.fft(residual, n=G, axis=0)    # (G, L): a(w)^H r_l, kept in step with residual
+    power = (np.abs(np.fft.fft(residual, n=G, axis=0)) ** 2).sum(axis=1)  # (G,) periodogram of the residual
     posteriors: list[VonMises] = []
     moments = np.empty((M, N), dtype=np.complex128)
     for i in range(N):
-        g_star = int(np.argmax((np.abs(spectra) ** 2).sum(axis=1)))
-        x_hat = spectra[g_star, :] / M
-        eta = (2.0 / nu0) * (residual * np.conj(x_hat)[None, :]).sum(axis=1)
-        vm = approximate_posterior(eta)
+        g_star = int(np.argmax(power))
+        x_hat = np.exp(-2j * np.pi * (g_star * orders % G) / G) @ residual / M  # DFT row g*: a(w)^H R / M
+        r = residual @ np.conj(x_hat)
+        vm = approximate_posterior((2.0 / nu0) * r)
         posteriors.append(vm)
-        moments[:, i] = moment_vector(vm, M)
-        residual = residual - np.outer(moments[:, i], x_hat)
-        spectra -= np.outer(np.fft.fft(moments[:, i], n=G), x_hat)  # the FFT is linear
+        a = moments[:, i] = moment_vector(vm, M)
+        # rank-one cancellation R -= a x^T, written into the periodogram without its (G, L) spectrum
+        f = np.fft.fft(a, n=G)
+        power += np.abs(f) ** 2 * np.vdot(x_hat, x_hat).real - 2.0 * (np.conj(f) * np.fft.fft(r, n=G)).real
+        residual -= np.outer(a, x_hat)
 
     return InferenceState(
         posteriors=posteriors,
@@ -182,6 +194,34 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
     )
 
 
+def _sweep_terms(state: InferenceState, Y: np.ndarray):
+    """What every active component's coefficient shares within one frequency sweep.
+
+    With ``W = 1/compact_grid``: the weighted residual ``RW = (Y - A_S X) ⊙ W``
+    (M, L), ``Q = Σ_l W[:, l] C_l`` (M|1, k, k), and ``D = P + diag Q`` (M|1, k)
+    with ``P[:, p] = Σ_l W[:, l] |X[p, l]|²``.  The weight posterior does not
+    change inside a sweep; only RW follows the refreshed moments.
+    """
+    M, L = Y.shape
+    A_S = state.moments[:, list(state.support.active_set)]
+    X = state.weight_means
+    W = 1.0 / state.noise.compact_grid(M, L)                  # (M|1, L|1)
+    RW = (Y - A_S @ X) * W
+    W_l = np.broadcast_to(W, (W.shape[0], L))
+    P = W_l @ (np.abs(X) ** 2).T                               # (M|1, k)
+    C = state.weight_covs                                      # (L, k, k) or (1, k, k)
+    if C.shape[0] == 1:                                        # shared: Σ_l W[:, l] C = (Σ_l W[:, l]) C
+        W_l = W_l.sum(axis=1, keepdims=True)
+    k = X.shape[0]
+    Q = (W_l @ C.reshape(C.shape[0], k * k)).reshape(-1, k, k)
+    return W, RW, P + np.diagonal(Q, axis1=1, axis2=2), Q
+
+
+def _eta(RW, D, Q, A_S, X, p) -> np.ndarray:
+    """Coefficient of active component p from one sweep's terms and the current moments A_S."""
+    return 2.0 * (RW @ np.conj(X[p]) + A_S[:, p] * D[:, p] - (A_S * Q[:, :, p]).sum(axis=1))
+
+
 def frequency_eta(state: InferenceState, Y: np.ndarray, i: int) -> np.ndarray:
     """Harmonic coefficient vector driving component i's frequency posterior.
 
@@ -193,15 +233,8 @@ def frequency_eta(state: InferenceState, Y: np.ndarray, i: int) -> np.ndarray:
     S = state.support.active_set
     if i not in S:
         raise ValueError(f"component {i} is not active")
-    p = S.index(i)
-    M, L = Y.shape
-    A_S = state.moments[:, list(S)]
-    X = state.weight_means
-    resid_i = Y - A_S @ X + np.outer(A_S[:, p], X[p, :])
-    cov_col = state.weight_covs[:, :, p]                       # (L, k) or (1, k)
-    cov_term = A_S @ cov_col.T - np.outer(A_S[:, p], state.weight_covs[:, p, p])
-    w = 1.0 / state.noise.compact_grid(M, L)
-    return (2.0 * w * (resid_i * np.conj(X[p, :])[None, :] - cov_term)).sum(axis=1)
+    _, RW, D, Q = _sweep_terms(state, Y)
+    return _eta(RW, D, Q, state.moments[:, list(S)], state.weight_means, S.index(i))
 
 
 def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
@@ -209,13 +242,23 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
 
     Components are visited in ascending index order and each update sees the
     already-refreshed moments of its predecessors; inactive components keep
-    their last belief.
+    their last belief.  One weighted residual serves the sweep: after each
+    refresh it takes the rank-one change ``(a_new - a_old) x_p^T ⊙ W``.
     """
+    S = list(state.support.active_set)
+    if not S:
+        return state
     M = Y.shape[0]
-    for i in state.support.active_set:
-        vm = approximate_posterior(frequency_eta(state, Y, i))
+    W, RW, D, Q = _sweep_terms(state, Y)
+    A_S = state.moments[:, S]
+    X = state.weight_means
+    for p, i in enumerate(S):
+        vm = approximate_posterior(_eta(RW, D, Q, A_S, X, p))
+        a_new = moment_vector(vm, M)
+        RW -= (a_new - A_S[:, p])[:, None] * X[p] * W
+        A_S[:, p] = a_new
         state.posteriors[i] = vm
-        state.moments[:, i] = moment_vector(vm, M)
+        state.moments[:, i] = a_new
     return state
 
 

@@ -15,6 +15,8 @@ from scipy.special import ive
 import gdoa
 from gdoa.circular import (
     VonMises,
+    _series_basis,
+    _series_eval,
     approximate_posterior,
     bessel_ratio,
     moment_vector,
@@ -231,6 +233,20 @@ class TestApproximatePosterior:
     def test_eta_too_short(self):
         with pytest.raises(ValueError):
             approximate_posterior(np.zeros(1, dtype=complex))
+
+    @pytest.mark.parametrize("M", [2, 20, 64])
+    def test_series_basis_matches_direct_sums(self, M):
+        rng = np.random.default_rng(M)
+        orders = np.arange(M)
+        for _ in range(10):
+            eta_conj = np.conj(rng.standard_normal(M) + 1j * rng.standard_normal(M))
+            omega = rng.uniform(-np.pi, np.pi)
+            t = eta_conj * np.exp(1j * orders * omega)
+            want = (t.real.sum(), -(orders * t.imag).sum(), -(orders ** 2 * t.real).sum())
+            got = _series_eval(_series_basis(eta_conj, orders), 1j * orders, omega)
+            for g, w, p in zip(got, want, range(3)):
+                # relative to the sum of term magnitudes: the sums may cancel
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-12 * (orders ** p * np.abs(eta_conj)).sum())
 
 
 class TestVonMisesType:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_moments, random_variances
+from gdoa import inference
 from gdoa.circular import VonMises, approximate_posterior, moment_vector
 from gdoa.inference import (
     INIT_NOISE_FRACTION,
@@ -134,6 +135,37 @@ class TestInitState:
             np.testing.assert_allclose(state.moments[:, i], a, atol=1e-9)
             residual = residual - np.outer(a, x_hat)
 
+    def test_seeds_match_weighted_periodogram_at_width(self, monkeypatch):
+        # M=64, L=100 and 60 dB between the strongest and the weakest source.  Each
+        # seed's coefficient is checked against a fresh FFT periodogram of the
+        # residual the state's earlier seeds leave, so a drifting running
+        # periodogram shows as another bin and an O(1) change of eta.  The
+        # coefficient is what is compared: the kappa fitted to a noise-level seed
+        # moves by ~1e-9 under last-bit changes of eta (approximate_posterior's
+        # Newton stop), whichever way the seeding rounds.
+        rng = np.random.default_rng(22)
+        M, L = 64, 100
+        amplitudes = 10.0 ** (-np.array([0.0, 20.0, 40.0, 60.0]) / 20.0)
+        X = amplitudes[:, None] * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4, L)))
+        Y = steering_matrix([-2.2, -0.5, 0.9, 2.0], M) @ X + 1e-4 * (
+            rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+        etas = []
+        monkeypatch.setattr(inference, "approximate_posterior",
+                            lambda eta: (etas.append(np.array(eta)), approximate_posterior(eta))[1])
+        state = init_state(Y, M, NoiseCase.II)
+        assert len(etas) == M
+        weights_inv = np.full((M, L), 1.0 / (INIT_NOISE_FRACTION * np.mean(np.abs(Y) ** 2)))
+        tr_inv = weights_inv.sum(axis=0)
+        G = 1024  # next power of two >= 16 * M
+        residual = Y.copy()
+        for i in range(M):
+            WR = weights_inv * residual
+            spectra = np.fft.fft(WR, n=G, axis=0)
+            x_hat = spectra[np.argmax((np.abs(spectra) ** 2 / tr_inv).sum(axis=1))] / tr_inv
+            want = 2.0 * (WR * np.conj(x_hat)).sum(axis=1)
+            np.testing.assert_allclose(etas[i], want, rtol=0, atol=1e-12 * np.abs(want).max())
+            residual = residual - np.outer(state.moments[:, i], x_hat)
+
     def test_budget_validation(self):
         Y = np.zeros((4, 2), dtype=complex)
         with pytest.raises(ValueError):
@@ -189,6 +221,36 @@ class TestFrequencyEta:
         for i in range(6):
             if i not in state.support.active_set:
                 assert state.posteriors[i] is before[i]
+
+
+class TestRunningResidual:
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
+    def test_each_coefficient_matches_the_oracle_on_the_state_of_its_moment(self, rng, monkeypatch, case):
+        M, L = 8, 5
+        state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=case)
+        X = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, L)))
+        Y = state.moments[:, [0, 2, 5]] @ X + 0.1 * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+        update_weights_support(state, Y)
+        S = list(state.support.active_set)
+        k = len(S)
+        assert k >= 2
+        assert state.weight_covs.shape[0] == (1 if case in (NoiseCase.I, NoiseCase.III) else L)
+        assert (state.weight_eig is not None) == (case is NoiseCase.II)
+        before = state.moments.copy()
+        seen = []
+
+        def recording(eta):
+            # eta_oracle reads the moments as they stand now: predecessors already refreshed
+            spread = dataclasses.replace(state, weight_covs=np.broadcast_to(state.weight_covs, (L, k, k)))
+            seen.append((np.array(eta), eta_oracle(spread, Y, S[len(seen)])))
+            return approximate_posterior(eta)
+
+        monkeypatch.setattr(inference, "approximate_posterior", recording)
+        update_frequencies(state, Y)
+        assert len(seen) == k
+        for got, want in seen:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert not np.allclose(state.moments[:, S], before[:, S], rtol=0, atol=1e-6)
 
 
 class TestWeightSupportUpdate:
