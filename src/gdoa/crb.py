@@ -12,8 +12,18 @@ all four noise cases::
 
 where ``D = dA/domega`` and ``P_l`` projects onto the orthogonal complement of
 ``W_l A``.  It is the Schur complement of the amplitude and phase block of the
-full Fisher information, so it equals the leading K x K block of its inverse
-at O(L*M*K^2) cost.
+full Fisher information, so it equals the leading K x K block of its inverse.
+
+The projection is never formed.  With ``w = 1/nu`` and ``D~ = diag(m) A``
+(``D = 1j * D~``; the 1j cancels), three weighted Grams per snapshot::
+
+    G0_l = A^H W_l^2 A,   G1_l = A^H W_l^2 D~,   G2_l = D~^H W_l^2 D~
+
+all read ``sum_m m^p w[m, l] exp(1j*m*(omega_j - omega_i))`` for p = 0, 1, 2,
+so one (3L, M) @ (M, K^2) product gives them, and
+``(W_l D)^H P_l (W_l D) = G2_l - G1_l^H G0_l^-1 G1_l`` comes from a batched
+K x K Cholesky factor of ``G0_l``.  The cost is O(L*M*K^2) with no (L, M, K)
+steering stack.
 
 :func:`fim` and :func:`signal_partials` build that full Fisher information
 over the stacked parameter vector ``[omega; vec(G); vec(Phi)]`` of length
@@ -137,8 +147,13 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
     of any unbiased frequency estimator.  Raises :class:`SingularFimError` for
     provably or numerically singular problems (a zero amplitude, duplicate or
     near-coincident frequencies, a reduced information with condition number
-    beyond 1e12, no frequencies).  One eigendecomposition per matrix gives
-    its condition number, the projection and the inverse.
+    beyond 1e12, no frequencies).
+
+    The bound is built from three weighted K x K Grams per snapshot, formed
+    by one (3L, M) @ (M, K^2) product, and the Schur complement
+    ``G2_l - G1_l^H G0_l^-1 G1_l`` through a batched Cholesky factor of
+    ``G0_l``: O(L*M*K^2) work with no (L, M, K) steering stack.  The
+    eigenvalues of every ``G0_l`` give the steering-Gram condition check.
     """
     nu = _noise_grid(params, noise)
     if np.any(params.g <= 0):
@@ -147,30 +162,34 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
         )
     if params.K == 0:
         raise SingularFimError("no frequencies to bound; the frequency information is empty")
-    m = np.arange(nu.shape[0], dtype=float)[:, None]
-    wa = (1.0 / np.sqrt(nu)).T[:, :, None] * np.exp(1j * m * params.omegas)  # (L, M, K)
-    # W_l D = 1j * m * W_l A; the factor 1j cancels in (W_l D)^H P_l (W_l D).
-    wd = m * wa
-    wa_h = np.conj(np.swapaxes(wa, 1, 2))
+    (M, L), K = nu.shape, params.K
+    w = 1.0 / nu                                                             # diag of W_l^2
+    m = np.arange(M, dtype=float)
+    moments = np.concatenate([w, m[:, None] * w, (m * m)[:, None] * w], axis=1).T  # (3L, M)
+    # phases[m, (i, j)] = conj(A[m, i]) A[m, j]
+    phases = np.exp(1j * m[:, None] * (params.omegas[None, :] - params.omegas[:, None]).reshape(1, -1))
+    G0, G1, G2 = (moments @ phases).reshape(3, L, K, K)
     x = params.g * np.exp(1j * params.phi)                                   # (K, L)
     try:
-        lam, V = _eigh_conditioned(wa_h @ wa, "steering Gram",
-                                   "frequencies are duplicate or nearly coincident")
-        coef = V @ ((np.conj(np.swapaxes(V, 1, 2)) @ (wa_h @ wd)) / lam[:, :, None])
-        resid = wd - wa @ coef                                               # P_l (W_l D)
+        _check_conditioned(np.linalg.eigvalsh(G0), "steering Gram",
+                           "frequencies are duplicate or nearly coincident")
+        Z = np.linalg.solve(np.linalg.cholesky(G0), G1)                      # R_l^-1 G1_l, G0_l = R_l R_l^H
+        S = G2 - np.conj(np.swapaxes(Z, 1, 2)) @ Z                           # (W_l D)^H P_l (W_l D)
         outer = np.conj(x.T)[:, :, None] * x.T[:, None, :]                   # (L, K, K)
-        info = 2.0 * ((np.conj(np.swapaxes(wd, 1, 2)) @ resid) * outer).real.sum(axis=0)
-        lam, V = _eigh_conditioned(info, "reduced frequency information", "bounds would be meaningless")
+        info = 2.0 * (S * outer).real.sum(axis=0)
+        lam, V = np.linalg.eigh(info)
+        _check_conditioned(lam, "reduced frequency information", "bounds would be meaningless")
     except np.linalg.LinAlgError as exc:
         raise SingularFimError(f"frequency information factorization failed: {exc}") from exc
     half = V / np.sqrt(lam)
     return half @ half.T
 
 
-def _eigh_conditioned(a: np.ndarray, what: str, consequence: str):
-    """``eigh(a)``; a condition number lambda_max/lambda_min above COND_LIMIT, or lambda_min <= 0, is singular."""
-    lam, V = np.linalg.eigh(a)
+def _check_conditioned(lam: np.ndarray, what: str, consequence: str) -> None:
+    """Raise unless every matrix with ascending eigenvalues ``lam[..., :]`` is well conditioned.
+
+    A condition number lambda_max/lambda_min above COND_LIMIT, or lambda_min <= 0, is singular.
+    """
     cond = float(np.max(lam[..., -1] / lam[..., 0])) if np.all(lam[..., 0] > 0) else np.inf
     if not cond <= COND_LIMIT:
         raise SingularFimError(f"{what} condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; {consequence}")
-    return lam, V

@@ -60,9 +60,10 @@ def _read_json(path) -> dict:
 
 
 def _write_json(path, doc: dict) -> None:
+    # Encode before opening: a document that fails to encode leaves no truncated file.
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 _REQUIRED = object()

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from gdoa.crb import (
+    COND_LIMIT,
     CrbParameterization,
     SingularFimError,
     crb_frequencies,
@@ -186,6 +189,50 @@ class TestConcentratedForm:
             s0, s1, s2 = (1.0 / nu).sum(axis=0), (m / nu).sum(axis=0), (m * m / nu).sum(axis=0)
             expected = 1.0 / (2.0 * np.sum(np.abs(x) ** 2 * (s2 - s1 * s1 / s0)))
             assert crb_frequencies(params, nu)[0, 0] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("spacing, rtol", [(0.1, 1e-11), (0.03, 1e-9), (0.01, 2e-7)])
+    def test_closely_spaced_pair_matches_inverse_fim_block(self, rng, spacing, rtol):
+        # The Schur complement G2 - G1^H G0^-1 G1 cancels as the pair closes in.  Each
+        # rtol is ten times the largest error against inv(fim) of the bound evaluated with
+        # an explicit projector P_l, over these cases and rng seeds 20240811, 1 and 2
+        # (6.8e-13, 6.3e-11 and 1.2e-8 at the three spacings).
+        M, L = 12, 4
+        params = CrbParameterization(np.array([0.4, 0.4 + spacing]), rng.uniform(0.5, 2.0, size=(2, L)),
+                                     rng.uniform(-np.pi, np.pi, size=(2, L)))
+        for case, nu in noise_grids(rng, M, L).items():
+            ref = np.linalg.inv(fim(params, nu))[:2, :2]
+            np.testing.assert_allclose(crb_frequencies(params, nu), ref, rtol=0,
+                                       atol=rtol * np.abs(ref).max(), err_msg=f"case {case}")
+
+    def test_one_ill_conditioned_snapshot_rejected(self):
+        # Snapshot 1 weights the low antennas by 100 dB over the high ones, so the pair is
+        # resolved there by less than anywhere else.  Its steering Gram alone fails.
+        M, L, d = 6, 3, 1.5e-5
+        m = np.arange(M)
+        nu = np.ones((M, L))
+        nu[:, 1] = 10.0 ** (2 * m)
+        params = CrbParameterization(np.array([0.5, 0.5 + d]), np.ones((2, L)), np.zeros((2, L)))
+        # For K = 2 the Gram [[s0, c], [conj(c), s0]] has eigenvalues s0 +- |c|, and
+        # s0^2 - |c|^2 = sum_mn w_m w_n 2 sin^2((m - n) d / 2) is free of cancellation.
+        w = 1.0 / nu
+        s0 = w.sum(axis=0)
+        c = np.abs(np.exp(1j * m * d) @ w)
+        det = np.einsum("ml,nl,mn->l", w, w, 2.0 * np.sin((m[:, None] - m[None, :]) * d / 2.0) ** 2)
+        cond = (s0 + c) ** 2 / det
+        assert cond[1] > COND_LIMIT and cond[0] < COND_LIMIT and cond[2] < COND_LIMIT
+        with pytest.raises(SingularFimError, match="steering Gram") as info:
+            crb_frequencies(params, nu)
+        reported = float(re.search(r"condition number (\S+) exceeds", str(info.value)).group(1))
+        assert reported == pytest.approx(cond[1], rel=1e-3)
+
+    @pytest.mark.parametrize("name", ["cholesky", "solve"])
+    def test_gram_factorization_failure_is_singular_fim_error(self, rng, monkeypatch, name):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, name, failing)
+        with pytest.raises(SingularFimError, match="factorization failed"):
+            crb_frequencies(random_params(rng), np.ones((6, 3)))
 
     def test_near_coincident_frequencies_rejected(self):
         params = CrbParameterization(

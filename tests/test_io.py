@@ -1,4 +1,5 @@
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdoa import io
+from gdoa.crb import CrbParameterization, crb_frequencies
+from gdoa.inference import RunOptions, run
 from gdoa.model import NoiseCase, ScenarioConfig, SnapshotMatrix, synthesize_scene
 
 
@@ -205,6 +208,32 @@ class TestScenarioConfigFormat:
     def test_invalid_values_reported(self):
         with pytest.raises(io.FormatError, match="delta_nu_db"):
             io.parse_scenario(self.doc(delta_nu_db=-1.0))
+
+
+class TestJsonLayout:
+    """The JSON writers emit exactly ``json.dump(doc, fh, indent=1)`` and one newline."""
+
+    @staticmethod
+    def streamed_dump(path):
+        buf = StringIO()
+        json.dump(json.loads(path.read_text()), buf, indent=1)
+        buf.write("\n")
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("case", list(NoiseCase))
+    def test_writers_match_streamed_dump(self, tmp_path, case):
+        cfg = ScenarioConfig(M=6, L=4, K=2, true_omegas=(0.3, -1.0), snr_db=8.0,
+                             delta_nu_db=0.0 if case is NoiseCase.I else 9.0, noise_case=case, seed=3)
+        scene, snap = synthesize_scene(cfg)
+        result = run(snap, case=case, options=RunOptions(max_iterations=5))
+        block = crb_frequencies(CrbParameterization.from_weights(scene.omegas, scene.weights),
+                                scene.noise_variances)
+        io.write_scene(tmp_path / "scene.json", scene)
+        io.write_estimation_result(tmp_path / "result.json", result, case)
+        io.write_crb_report(tmp_path / "crb.json", scene.omegas, block, float(np.trace(block)))
+        for name in ("scene.json", "result.json", "crb.json"):
+            path = tmp_path / name
+            assert path.read_bytes() == self.streamed_dump(path), name
 
 
 class TestSweepConfigFormat:
