@@ -39,6 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 COND_LIMIT = 1e12
+# The Schur complement G2 - G1^H G0^-1 G1 loses about eps * cond(G0)^2 relative, so
+# a steering Gram past 1e6 leaves fewer than about four correct digits in the bound.
+GRAM_COND_LIMIT = 1e6
 
 
 class SingularFimError(ValueError):
@@ -146,8 +149,8 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
     by passing the replicated grid.  Diagonal entries lower-bound the variance
     of any unbiased frequency estimator.  Raises :class:`SingularFimError` for
     provably or numerically singular problems (a zero amplitude, duplicate or
-    near-coincident frequencies, a reduced information with condition number
-    beyond 1e12, no frequencies).
+    near-coincident frequencies, a steering Gram with condition number beyond
+    1e6 or a reduced information beyond 1e12, no frequencies).
 
     The bound is built from three weighted K x K Grams per snapshot, formed
     by one (3L, M) @ (M, K^2) product, and the Schur complement
@@ -171,25 +174,25 @@ def crb_frequencies(params: CrbParameterization, noise: np.ndarray) -> np.ndarra
     G0, G1, G2 = (moments @ phases).reshape(3, L, K, K)
     x = params.g * np.exp(1j * params.phi)                                   # (K, L)
     try:
-        _check_conditioned(np.linalg.eigvalsh(G0), "steering Gram",
+        _check_conditioned(np.linalg.eigvalsh(G0), GRAM_COND_LIMIT, "steering Gram",
                            "frequencies are duplicate or nearly coincident")
         Z = np.linalg.solve(np.linalg.cholesky(G0), G1)                      # R_l^-1 G1_l, G0_l = R_l R_l^H
         S = G2 - np.conj(np.swapaxes(Z, 1, 2)) @ Z                           # (W_l D)^H P_l (W_l D)
         outer = np.conj(x.T)[:, :, None] * x.T[:, None, :]                   # (L, K, K)
         info = 2.0 * (S * outer).real.sum(axis=0)
         lam, V = np.linalg.eigh(info)
-        _check_conditioned(lam, "reduced frequency information", "bounds would be meaningless")
+        _check_conditioned(lam, COND_LIMIT, "reduced frequency information", "bounds would be meaningless")
     except np.linalg.LinAlgError as exc:
         raise SingularFimError(f"frequency information factorization failed: {exc}") from exc
     half = V / np.sqrt(lam)
     return half @ half.T
 
 
-def _check_conditioned(lam: np.ndarray, what: str, consequence: str) -> None:
+def _check_conditioned(lam: np.ndarray, limit: float, what: str, consequence: str) -> None:
     """Raise unless every matrix with ascending eigenvalues ``lam[..., :]`` is well conditioned.
 
-    A condition number lambda_max/lambda_min above COND_LIMIT, or lambda_min <= 0, is singular.
+    A condition number lambda_max/lambda_min above ``limit``, or lambda_min <= 0, is singular.
     """
     cond = float(np.max(lam[..., -1] / lam[..., 0])) if np.all(lam[..., 0] > 0) else np.inf
-    if not cond <= COND_LIMIT:
-        raise SingularFimError(f"{what} condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; {consequence}")
+    if not cond <= limit:
+        raise SingularFimError(f"{what} condition number {cond:.3e} exceeds {limit:.0e}; {consequence}")

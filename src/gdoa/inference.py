@@ -99,12 +99,12 @@ class InferenceState:
     moments: np.ndarray            # (M, N) expected steering vectors
     support: SupportState
     weight_means: np.ndarray       # (k, L), rows in ascending support order
-    weight_covs: np.ndarray        # (L, k, k), same ordering; (1, k, k) when shared (Cases I, III);
-                                   # in Case II built from the eigenbasis in weight_eig
+    weight_covs: np.ndarray        # (L, k, k), same ordering; in Cases I-III built from weight_eig
     hyper: HyperParams
     noise: NoiseEstimate
     noise_floor: float
-    # Case II's one eigenbasis: (V (k, k), d (L, k)) with weight_covs[l] = V diag(d[l]) V^H
+    # separable noise (Cases I-III): one eigenbasis (V (k, k), d (L, k)), weight_covs[l] = V diag(d[l]) V^H;
+    # None for per-cell noise (Case IV)
     weight_eig: tuple[np.ndarray, np.ndarray] | None = None
     iteration: int = 0
 
@@ -187,7 +187,7 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         moments=moments,
         support=SupportState.from_indices(N, ()),
         weight_means=np.zeros((0, L), dtype=np.complex128),
-        weight_covs=np.zeros((noise.compact_grid(M, L).shape[1], 0, 0), dtype=np.complex128),
+        weight_covs=np.zeros((L, 0, 0), dtype=np.complex128),
         hyper=hyper,
         noise=noise,
         noise_floor=floor,
@@ -209,11 +209,8 @@ def _sweep_terms(state: InferenceState, Y: np.ndarray):
     RW = (Y - A_S @ X) * W
     W_l = np.broadcast_to(W, (W.shape[0], L))
     P = W_l @ (np.abs(X) ** 2).T                               # (M|1, k)
-    C = state.weight_covs                                      # (L, k, k) or (1, k, k)
-    if C.shape[0] == 1:                                        # shared: Σ_l W[:, l] C = (Σ_l W[:, l]) C
-        W_l = W_l.sum(axis=1, keepdims=True)
     k = X.shape[0]
-    Q = (W_l @ C.reshape(C.shape[0], k * k)).reshape(-1, k, k)
+    Q = (W_l @ state.weight_covs.reshape(L, k * k)).reshape(-1, k, k)
     return W, RW, P + np.diagonal(Q, axis1=1, axis2=2), Q
 
 
@@ -284,7 +281,7 @@ def update_hyperparams(state: InferenceState) -> InferenceState:
         return state
     L = state.weight_means.shape[1]
     energy = float(np.sum(np.abs(state.weight_means) ** 2))
-    cov_trace = float(np.einsum("lkk->", state.weight_covs).real) * (L // state.weight_covs.shape[0])
+    cov_trace = float(np.einsum("lkk->", state.weight_covs).real)
     tau = (energy + cov_trace) / (L * k)
     state.hyper = HyperParams(rho=rho, tau=max(tau, 1e-100))
     return state

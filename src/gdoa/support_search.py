@@ -11,19 +11,19 @@ always the one with the largest score gain.
 ``A_l`` is factored once per support, and everything else reads that one
 factorisation: the weight posterior ``C_l = A_l^{-1}``, ``x_l = C_l H_{S,l}``,
 the evidence score and the gains of all N candidate flips, in a single
-batched pass.  The factorisation takes one of two forms:
+batched pass.  The factorisation follows the noise structure:
 
-* Cholesky: one batched Cholesky, kept as the inverse factor
-  ``R_l = chol(A_l)^{-1}`` (lower triangular), so ``C_l = R_l^H R_l``,
-  ``ln det A_l = -2 sum ln diag R_l`` and ``H^H A_l^{-1} H = ||R_l H_{S,l}||^2``.
-  The quadratic forms and factors are stacked (L, N, N) and (L, k, k)
-  arrays, or a single (1, N, N) / (1, k, k) slice when every snapshot
-  shares them (noise Cases I and III).
-* Eigenbasis: noise tied over antennas (Case II) gives ``J_l = w_l G`` for one
-  Gram G, so one ``eigh`` of ``G_S = V diag(lambda) V^H`` diagonalises every
-  ``A_l``: ``C_l = V diag(d_l) V^H`` with ``d_{l,j} = 1/(lambda_j w_l + 1/tau)``.
-  The workspace keeps G, the L precisions w, the (k, k) basis V and the
+* Separable noise (Cases I-III, ``nu[m, l] = alpha_m beta_l``) gives
+  ``J_l = w_l G`` for one Gram G, so one ``eigh`` of
+  ``G_S = V diag(lambda) V^H`` diagonalises every ``A_l``:
+  ``C_l = V diag(d_l) V^H`` with ``d_{l,j} = 1/(lambda_j w_l + 1/tau)``.
+  The workspace keeps G, the L weights w, the (k, k) basis V and the
   (L, k) eigenvalues d, and no per-snapshot matrix.
+* Per-cell noise (Case IV) needs one Gram per snapshot, an (L, N, N)
+  stack, and one batched Cholesky, kept as the inverse factor
+  ``R_l = chol(A_l)^{-1}`` (lower triangular, (L, k, k)), so
+  ``C_l = R_l^H R_l``, ``ln det A_l = -2 sum ln diag R_l`` and
+  ``H^H A_l^{-1} H = ||R_l H_{S,l}||^2``.
 
 The per-snapshot weights x and linear terms H always carry L columns.
 """
@@ -68,10 +68,10 @@ class SupportState:
 
 @dataclass(frozen=True)
 class ScaledGram:
-    """Quadratic forms ``J_l = w_l G`` of noise tied over antennas (Case II)."""
+    """Quadratic forms ``J_l = w_l G`` of separable noise (Cases I-III)."""
 
-    G: np.ndarray            # (N, N) Hermitian Gram A^H A, diagonal pinned to M
-    w: np.ndarray            # (L,) per-snapshot precisions 1/s_l
+    G: np.ndarray            # (N, N) Hermitian Gram A^H diag(g) A, diagonal pinned to sum(g)
+    w: np.ndarray            # (L,) per-snapshot weights
 
 
 @dataclass
@@ -81,20 +81,18 @@ class SearchWorkspace:
     ``order`` lists the active indices in ascending order; ``R`` (or ``V``)
     and ``x`` are indexed accordingly.  Invariants, restored by ``_refresh``
     after every flip: x[:, l] = C_l @ H[order, l], and either
-    R_l = chol([J_l]_order + I/tau)^{-1}, lower triangular, when ``J`` is an
-    array, or G[order][:, order] = V diag(lambda) V^H and
-    d[l] = 1/(lambda w_l + 1/tau) when ``J`` is a :class:`ScaledGram`.  An
-    array ``J`` and ``R`` have a leading axis of length L, or of length 1
-    when one slice stands for every snapshot (noise Cases I and III); the
-    snapshot count comes from ``H``.
+    G[order][:, order] = V diag(lambda) V^H and d[l] = 1/(lambda w_l + 1/tau)
+    when ``J`` is a :class:`ScaledGram` (separable noise), or
+    R_l = chol([J_l]_order + I/tau)^{-1}, lower triangular, when ``J`` is the
+    (L, N, N) stack of per-cell noise.
     """
 
-    J: np.ndarray | ScaledGram   # (L, N, N) or (1, N, N) Hermitian, diagonal = tr(Sigma_l^{-1})
+    J: np.ndarray | ScaledGram   # (L, N, N) Hermitian, diagonal = tr(Sigma_l^{-1}); or one scaled Gram
     H: np.ndarray            # (N, L)
     rho: float
     tau: float
     order: list[int] = field(default_factory=list)
-    R: np.ndarray = None     # (L, k, k) or (1, k, k), like J; Cholesky form only
+    R: np.ndarray = None     # (L, k, k); Cholesky form (Case IV) only
     V: np.ndarray = None     # (k, k) unitary eigenbasis of G_S; eigenbasis form only
     d: np.ndarray = None     # (L, k) eigenvalues of C_l; eigenbasis form only
     x: np.ndarray = None     # (k, L)
@@ -113,7 +111,7 @@ class SearchWorkspace:
 
     @property
     def C(self) -> np.ndarray:
-        """Weight posterior covariances C_l, (L, k, k), or (1, k, k) when shared."""
+        """Weight posterior covariances C_l, (L, k, k)."""
         if isinstance(self.J, ScaledGram):
             return (self.V * self.d[:, None, :]) @ np.conj(self.V.T)
         return np.conj(np.swapaxes(self.R, 1, 2)) @ self.R
@@ -127,7 +125,7 @@ class SearchWorkspace:
             lndet_C = np.log(self.d).sum()
             quad = float((self.d.T * np.abs(np.conj(self.V.T) @ H_S) ** 2).sum())
         else:
-            lndet_C = 2.0 * np.log(np.einsum("lkk->lk", self.R).real).sum() * (self.L // self.R.shape[0])
+            lndet_C = 2.0 * np.log(np.einsum("lkk->lk", self.R).real).sum()
             quad = float((np.abs(np.einsum("lij,jl->il", self.R, H_S)) ** 2).sum())
         return k * self.log_odds() + lndet_C - self.L * k * math.log(self.tau) + quad
 
@@ -140,14 +138,13 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
     ``H[:, l] = A^H Sigma_l^{-1} y_l``.
 
     ``variances`` is the (M, L) variance grid or that grid with its tied axes
-    kept at length 1: (1, 1), (1, L) or (M, 1).  Variances tied over antennas
-    give ``J_l = G / s_l`` for one Gram ``G = A^H A`` with diagonal M: J is
-    that Gram, (1, N, N), when one variance stands for every cell (Case I),
-    and the :class:`ScaledGram` of G and the precisions ``1/s_l`` when it
-    varies over snapshots (Case II), so the search works in G's eigenbasis
-    and no (L, N, N) stack is built.  Variances that vary over antennas need
-    ``A^H diag(1/nu_l) A`` per snapshot column of the grid: J is (1, N, N)
-    in Case III and (L, N, N) in Case IV.
+    kept at length 1: (1, 1), (1, L) or (M, 1).  Separable noise gives
+    ``J_l = w_l G`` for one Gram, returned as a :class:`ScaledGram` so the
+    search works in G's eigenbasis: tied over antennas (Cases I, II),
+    ``G = A^H A`` with diagonal M and ``w = 1/s``; tied over snapshots
+    (Case III), ``G = A^H diag(1/nu) A`` with diagonal ``sum(1/nu)`` and
+    ``w = 1``.  Only the per-cell grid (Case IV) builds the (L, N, N) stack
+    of ``A^H diag(1/nu_l) A``.
     """
     A = np.asarray(moments, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
@@ -160,11 +157,12 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
     W = 1.0 / nu
     Ah = A.conj().T
     idx = np.arange(A.shape[1])
-    if nu.shape[0] == 1:
-        G = Ah @ A
-        G[idx, idx] = M
-        J = ScaledGram(G=G, w=W[0]) if nu.shape[1] > 1 else G[None, :, :] * W[0][:, None, None]
-    else:
+    if nu.shape[0] == 1 or nu.shape[1] == 1:    # separable: J_l = w_l A^H diag(g) A
+        g, w = (np.ones(M), np.broadcast_to(W[0], (L,))) if nu.shape[0] == 1 else (W[:, 0], np.ones(L))
+        G = (Ah * g) @ A
+        G[idx, idx] = g.sum()
+        J = ScaledGram(G=G, w=w)
+    else:                                        # per-cell (Case IV): one Gram per snapshot
         J = (Ah[None, :, :] * W.T[:, None, :]) @ A
         J[:, idx, idx] = W.sum(axis=0)[:, None]
     H = Ah @ (W * Y)
@@ -190,20 +188,6 @@ def ln_z(s, workspace: SearchWorkspace) -> float:
     if s.shape != (workspace.N,):
         raise ValueError(f"s must have shape ({workspace.N},), got {s.shape}")
     return make_workspace(workspace.J, workspace.H, workspace.rho, workspace.tau, np.flatnonzero(s)).ln_z
-
-
-def delta_activate(k: int, ws: SearchWorkspace) -> float:
-    """Score gain for activating inactive index k."""
-    if k in ws.order:
-        raise ValueError(f"index {k} is already active")
-    return float(_sweep_deltas(ws)[k])
-
-
-def delta_deactivate(k: int, ws: SearchWorkspace) -> float:
-    """Score gain for deactivating active index k."""
-    if k not in ws.order:
-        raise ValueError(f"index {k} is not active")
-    return float(_sweep_deltas(ws)[k])
 
 
 def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
@@ -257,8 +241,8 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
             cross = w[:, None] * (np.conj(Gsel.T) @ ws.x).T
             tr_inv = ws.J.G[0, 0].real * w
         else:
-            Jsel = ws.J[:, active][:, :, inactive]            # (L or 1, s, m)
-            quad = (np.abs(ws.R @ Jsel) ** 2).sum(axis=1)     # (L or 1, m)
+            Jsel = ws.J[:, active][:, :, inactive]            # (L, s, m)
+            quad = (np.abs(ws.R @ Jsel) ** 2).sum(axis=1)     # (L, m)
             cross = (ws.x.T[:, None, :] @ np.conj(Jsel))[:, 0, :]  # (L, m); matmul is 3-4x einsum's speed here
             tr_inv = ws.J[:, 0, 0].real                       # the constant diagonal, tr(Sigma_l^{-1})
         denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad

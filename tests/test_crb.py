@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gdoa.crb import (
-    COND_LIMIT,
+    GRAM_COND_LIMIT,
     CrbParameterization,
     SingularFimError,
     crb_frequencies,
@@ -207,7 +207,7 @@ class TestConcentratedForm:
     def test_one_ill_conditioned_snapshot_rejected(self):
         # Snapshot 1 weights the low antennas by 100 dB over the high ones, so the pair is
         # resolved there by less than anywhere else.  Its steering Gram alone fails.
-        M, L, d = 6, 3, 1.5e-5
+        M, L, d = 6, 3, 5e-3
         m = np.arange(M)
         nu = np.ones((M, L))
         nu[:, 1] = 10.0 ** (2 * m)
@@ -219,11 +219,25 @@ class TestConcentratedForm:
         c = np.abs(np.exp(1j * m * d) @ w)
         det = np.einsum("ml,nl,mn->l", w, w, 2.0 * np.sin((m[:, None] - m[None, :]) * d / 2.0) ** 2)
         cond = (s0 + c) ** 2 / det
-        assert cond[1] > COND_LIMIT and cond[0] < COND_LIMIT and cond[2] < COND_LIMIT
+        assert cond[1] > GRAM_COND_LIMIT and cond[0] < GRAM_COND_LIMIT and cond[2] < GRAM_COND_LIMIT
         with pytest.raises(SingularFimError, match="steering Gram") as info:
             crb_frequencies(params, nu)
         reported = float(re.search(r"condition number (\S+) exceeds", str(info.value)).group(1))
         assert reported == pytest.approx(cond[1], rel=1e-3)
+
+    @pytest.mark.parametrize("spacing, singular", [(1e-4, True), (1e-3, False)])
+    def test_gram_limit_rejects_bounds_without_correct_digits(self, rng, spacing, singular):
+        # At M = 32 a 1e-4 rad pair has a steering Gram near cond 5e6, where the Schur
+        # complement keeps no correct digit; a 1e-3 rad pair (cond near 5e4) keeps about eight.
+        M, L = 32, 8
+        params = CrbParameterization(np.array([0.3, 0.3 + spacing]), np.ones((2, L)),
+                                     rng.uniform(-np.pi, np.pi, size=(2, L)))
+        nu = rng.uniform(0.5, 2.0, size=(M, L))
+        if singular:
+            with pytest.raises(SingularFimError, match="steering Gram condition number"):
+                crb_frequencies(params, nu)
+        else:
+            assert np.all(np.isfinite(crb_frequencies(params, nu)))
 
     @pytest.mark.parametrize("name", ["cholesky", "solve"])
     def test_gram_factorization_failure_is_singular_fim_error(self, rng, monkeypatch, name):

@@ -22,7 +22,7 @@ from gdoa.inference import (
     update_weights_support,
 )
 from gdoa.model import NoiseCase, ScenarioConfig, steering_matrix, steering_vector, synthesize_scene
-from gdoa.support_search import SupportState, compute_jh, ln_z, make_workspace
+from gdoa.support_search import NumericalError, SupportState, compute_jh, ln_z, make_workspace
 
 
 def make_state(rng, M=6, N=6, L=2, active=(1, 3), case=NoiseCase.IV, nu=None):
@@ -116,7 +116,7 @@ class TestInitState:
         Y = steering_matrix([-0.7, 0.4, 1.9], M) @ X + 0.3 * (
             rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
         state = init_state(Y, M, case)
-        assert state.weight_covs.shape == (1 if 1 in case.tied_axes else L, 0, 0)
+        assert state.weight_covs.shape == (L, 0, 0)
         # the seeding written with the inverse-variance weights of the uniform start nu0
         weights_inv = np.full((M, L), 1.0 / (INIT_NOISE_FRACTION * np.mean(np.abs(Y) ** 2)))
         tr_inv = weights_inv.sum(axis=0)
@@ -234,15 +234,14 @@ class TestRunningResidual:
         S = list(state.support.active_set)
         k = len(S)
         assert k >= 2
-        assert state.weight_covs.shape[0] == (1 if case in (NoiseCase.I, NoiseCase.III) else L)
-        assert (state.weight_eig is not None) == (case is NoiseCase.II)
+        assert state.weight_covs.shape == (L, k, k)
+        assert (state.weight_eig is not None) == (case is not NoiseCase.IV)
         before = state.moments.copy()
         seen = []
 
         def recording(eta):
             # eta_oracle reads the moments as they stand now: predecessors already refreshed
-            spread = dataclasses.replace(state, weight_covs=np.broadcast_to(state.weight_covs, (L, k, k)))
-            seen.append((np.array(eta), eta_oracle(spread, Y, S[len(seen)])))
+            seen.append((np.array(eta), eta_oracle(state, Y, S[len(seen)])))
             return approximate_posterior(eta)
 
         monkeypatch.setattr(inference, "approximate_posterior", recording)
@@ -277,35 +276,12 @@ class TestWeightSupportUpdate:
         assert after >= before - 1e-9
 
 
-class TestSharedCovariance:
-    @pytest.mark.parametrize("case", [NoiseCase.I, NoiseCase.III], ids=lambda c: c.value)
-    def test_updates_match_the_spread_copy(self, rng, case):
-        M, L = 8, 5
-        state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=case)
-        X = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, L)))
-        Y = state.moments[:, [0, 2, 5]] @ X + 0.1 * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
-        update_weights_support(state, Y)
-        k = state.support.size
-        assert k and state.weight_covs.shape == (1, k, k)
-        spread = dataclasses.replace(state, weight_covs=np.broadcast_to(state.weight_covs, (L, k, k)))
-
-        def close(got, want):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-        for i in state.support.active_set:
-            close(frequency_eta(state, Y, i), frequency_eta(spread, Y, i))
-        close(noise_cell_quantities(state, Y), noise_cell_quantities(spread, Y))
-        update_hyperparams(state)
-        update_hyperparams(spread)
-        assert state.hyper.rho == spread.hyper.rho
-        close(state.hyper.tau, spread.hyper.tau)
-
-
-class TestCaseIIEigenbasis:
-    def test_updates_match_the_dense_per_snapshot_formulas(self, rng):
+class TestSeparableEigenbasis:
+    @pytest.mark.parametrize("case", [NoiseCase.I, NoiseCase.II, NoiseCase.III], ids=lambda c: c.value)
+    def test_updates_match_the_dense_per_snapshot_formulas(self, rng, case):
         M, L = 8, 5
         for _ in range(5):
-            state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=NoiseCase.II)
+            state = make_state(rng, M=M, N=M, L=L, active=(0, 2, 5), case=case)
             X = 3.0 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, L)))
             Y = state.moments[:, [0, 2, 5]] @ X + 0.1 * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
             tau0 = state.hyper.tau
@@ -314,7 +290,7 @@ class TestCaseIIEigenbasis:
             k = len(S)
             assert k and state.weight_eig is not None
             V, d = state.weight_eig
-            assert V.shape == (k, k) and d.shape == (L, k)
+            assert V.shape == (k, k) and d.shape == (L, k) and state.weight_covs.shape == (L, k, k)
             C = np.array([V @ np.diag(d[l]) @ V.conj().T for l in range(L)])
             J, H = compute_jh(state.moments, np.broadcast_to(state.noise.compact_grid(M, L), (M, L)), Y)
             for l in range(L):
@@ -333,6 +309,22 @@ class TestCaseIIEigenbasis:
             update_hyperparams(state)
             energy = np.sum(np.abs(state.weight_means) ** 2)
             close(state.hyper.tau, (energy + sum(np.trace(C[l]).real for l in range(L))) / (L * k))
+
+
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
+    def test_only_per_cell_noise_runs_a_cholesky(self, monkeypatch, case):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        cfg = ScenarioConfig(M=10, L=4, K=2, true_omegas=(-0.6, 1.3), snr_db=15.0,
+                             delta_nu_db=0.0 if case is NoiseCase.I else 10.0, noise_case=case, seed=5)
+        _, snap = synthesize_scene(cfg)
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        if case is NoiseCase.IV:
+            with pytest.raises(NumericalError, match="not positive definite"):
+                run(snap, case=case)
+        else:
+            assert run(snap, case=case).k_hat == 2
 
 
 class TestHyperUpdate:

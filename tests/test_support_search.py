@@ -11,8 +11,6 @@ from gdoa.support_search import (
     _sweep_deltas,
     apply_flip,
     compute_jh,
-    delta_activate,
-    delta_deactivate,
     greedy_search,
     ln_z,
     make_workspace,
@@ -20,16 +18,14 @@ from gdoa.support_search import (
 from test_inference import make_state
 
 
-def spread_j(J, L):
-    """J as one (N, N) matrix per snapshot: Case II's w_l G expanded, a shared slice repeated."""
-    if isinstance(J, ScaledGram):
-        return J.w[:, None, None] * J.G
-    return np.broadcast_to(J, (L,) + J.shape[1:])
+def spread_j(J):
+    """J as one (N, N) matrix per snapshot: separable noise's w_l G expanded."""
+    return J.w[:, None, None] * J.G if isinstance(J, ScaledGram) else J
 
 
 def per_snapshot_j(inst):
-    """J spread to one (N, N) matrix per snapshot, shared or not."""
-    return spread_j(inst["J"], inst["H"].shape[1])
+    """The instance's J spread to one (N, N) matrix per snapshot."""
+    return spread_j(inst["J"])
 
 
 def dense_posteriors(inst, order, tau):
@@ -130,7 +126,7 @@ class TestComputeJH:
 
 
 STRUCTURED = [NoiseCase.I, NoiseCase.II, NoiseCase.III]
-SHARED = [NoiseCase.I, NoiseCase.III]
+SHARED = [NoiseCase.I, NoiseCase.III]   # every snapshot has the same J_l, so the same C_l
 
 
 class TestStructuredJ:
@@ -143,11 +139,9 @@ class TestStructuredJ:
             Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
             J, H = compute_jh(A, nu, Y)
             J_full, H_full = compute_jh(A, np.broadcast_to(nu, (M, L)), Y)
-            if case in SHARED:
-                assert J.shape == (1, N, N)
-            else:
-                assert isinstance(J, ScaledGram) and J.G.shape == (N, N) and J.w.shape == (L,)
-            assert np.abs(spread_j(J, L) - J_full).max() <= 1e-12 * np.abs(J_full).max()
+            assert isinstance(J, ScaledGram) and J.G.shape == (N, N) and J.w.shape == (L,)
+            assert isinstance(J_full, np.ndarray) and J_full.shape == (L, N, N)
+            assert np.abs(spread_j(J) - J_full).max() <= 1e-12 * np.abs(J_full).max()
             assert np.abs(H - H_full).max() <= 1e-12 * np.abs(H_full).max()
 
     def test_full_grid_is_bitwise_unchanged(self, rng):
@@ -162,7 +156,7 @@ class TestStructuredJ:
     def test_shared_j_flips_match_dense(self, rng, case):
         for _ in range(40):
             inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=case.tied_axes)
-            assert inst["J"].shape == (1, 8, 8)
+            assert np.all(inst["J"].w == inst["J"].w[0])
             size = int(rng.integers(0, 5))
             support = tuple(sorted(rng.choice(8, size=size, replace=False).tolist()))
             ws = workspace_of(inst, support)
@@ -171,14 +165,11 @@ class TestStructuredJ:
             for k in range(8):
                 flipped = set(support) ^ {k}
                 expected = dense_score(inst, sorted(flipped), inst["rho"], inst["tau"]) - base
-                if k in support:
-                    got = delta_deactivate(k, ws)
-                else:
-                    got = delta_activate(k, ws)
+                got = _sweep_deltas(ws)[k]
                 assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
             k = int(rng.integers(0, 8))
             apply_flip(k, ws)
-            assert ws.C.shape[0] == 1 and ws.x.shape == (len(ws.order), 4)
+            assert ws.C.shape == (4, len(ws.order), len(ws.order)) and ws.x.shape == (len(ws.order), 4)
             C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
             if ws.order:
                 assert np.abs(ws.C - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())
@@ -189,10 +180,11 @@ class TestStructuredJ:
         inst = random_instance(rng, L=4, tied_axes=case.tied_axes)
         ws = workspace_of(inst, (5, 2))
         assert ws.order == [2, 5]
-        assert ws.C.shape == (1, 2, 2)
+        assert ws.C.shape == (4, 2, 2)
         C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
-        for C_l in C_ref:
-            np.testing.assert_allclose(ws.C[0], C_l, atol=1e-10)
+        for C_l, C_ref_l in zip(ws.C, C_ref):
+            assert np.array_equal(C_l, ws.C[0])
+            np.testing.assert_allclose(C_l, C_ref_l, atol=1e-10)
         np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
@@ -212,7 +204,7 @@ class TestStructuredJ:
             energy += np.sum(np.abs(C_l @ H[S, l]) ** 2)
             trace += np.trace(C_l).real
         update_hyperparams(state)
-        assert state.weight_covs.shape == (1, len(S), len(S))
+        assert state.weight_covs.shape == (L, len(S), len(S))
         assert state.hyper.tau == pytest.approx((energy + trace) / (L * len(S)), rel=1e-10)
 
 
@@ -235,76 +227,84 @@ class TestFactor:
             inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=tied_axes)
             ws = workspace_of(inst, rng.choice(8, size=1 + trial % 5, replace=False).tolist())
             k = len(ws.order)
-            if tied_axes == (0,):  # Case II: one unitary eigenbasis, positive per-snapshot eigenvalues
+            if tied_axes:  # separable noise: one unitary eigenbasis, positive per-snapshot eigenvalues
                 assert ws.R is None and ws.d.shape == (4, k) and np.all(ws.d > 0)
                 assert np.abs(np.conj(ws.V.T) @ ws.V - np.eye(k)).max() <= 1e-14 * k
             else:
+                assert ws.V is None and ws.R.shape == (4, k, k)
                 assert np.abs(np.triu(ws.R, 1)).max() <= 1e-14 * np.abs(ws.R).max()
             C_ref, _ = dense_posteriors(inst, ws.order, inst["tau"])
-            assert ws.C.shape[0] == (1 if 1 in tied_axes else 4)
-            assert np.abs(np.broadcast_to(ws.C, C_ref.shape) - C_ref).max() <= 1e-10 * np.abs(C_ref).max()
+            assert ws.C.shape == (4, k, k)
+            assert np.abs(ws.C - C_ref).max() <= 1e-10 * np.abs(C_ref).max()
 
     def test_indefinite_system_rejected(self, rng):
         inst = random_instance(rng)
         with pytest.raises(NumericalError, match="positive definite"):
-            make_workspace(-5.0 * np.eye(8)[None], inst["H"], 0.5, 1.0, support=(0, 3))
+            make_workspace(np.broadcast_to(-5.0 * np.eye(8), (3, 8, 8)), inst["H"], 0.5, 1.0, support=(0, 3))
 
 
 def rel_gap(got, want):
     return np.abs(got - want).max() / max(1.0, np.abs(want).max())
 
 
-class TestCaseIIEigenbasis:
-    """Case II's eigenbasis workspace against the Cholesky workspace of the spread (L, N, N) stack."""
+class TestSeparableEigenbasis:
+    """The eigenbasis workspace of separable noise against the Cholesky workspace of the spread (L, N, N) stack."""
 
-    def test_compute_jh_builds_no_snapshot_stack(self, rng):
+    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    def test_compute_jh_builds_no_snapshot_stack(self, rng, case):
         M, N, L = 9, 6, 5
-        nu = random_variances(rng, M, L).mean(axis=0, keepdims=True)
+        nu = random_variances(rng, M, L).mean(axis=case.tied_axes, keepdims=True)
         Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
         J, H = compute_jh(random_moments(rng, M, N), nu, Y)
         assert isinstance(J, ScaledGram)
         assert [a.shape for a in (J.G, J.w, H)] == [(N, N), (L,), (N, L)]
-        assert np.array_equal(np.diag(J.G).real, np.full(N, float(M)))
-        assert np.array_equal(J.w, 1.0 / nu[0])
+        if case is NoiseCase.III:  # tied over snapshots: the weights sit in G
+            assert np.array_equal(np.diag(J.G).real, np.full(N, (1.0 / nu).sum()))
+            assert np.array_equal(J.w, np.ones(L))
+        else:                      # tied over antennas: G = A^H A, w = 1/s
+            assert np.array_equal(np.diag(J.G).real, np.full(N, float(M)))
+            assert np.array_equal(J.w, np.broadcast_to(1.0 / nu[0], (L,)))
 
-    def test_flip_sequences_match_dense_workspace(self, rng):
+    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    def test_flip_sequences_match_dense_workspace(self, rng, case):
         for trial in range(40):
-            inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)), tied_axes=(0,))
-            dense = spread_j(inst["J"], 5)
+            inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)), tied_axes=case.tied_axes)
+            dense = spread_j(inst["J"])
             ws = workspace_of(inst, rng.choice(8, size=trial % 5, replace=False).tolist())
             for _ in range(4):
                 ref = make_workspace(dense, inst["H"], inst["rho"], inst["tau"], support=ws.order)
-                assert ws.V is not None and ref.R is not None
+                assert ws.V is not None and ws.R is None and ref.R is not None
                 assert abs(ws.ln_z - ref.ln_z) <= 1e-10 * max(1.0, abs(ref.ln_z))
-                for k in range(8):
-                    flip = delta_deactivate if k in ws.order else delta_activate
-                    got, want = flip(k, ws), flip(k, ref)
-                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+                got, want = _sweep_deltas(ws), _sweep_deltas(ref)
+                assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
                 assert ws.C.shape == ref.C.shape == (5, len(ws.order), len(ws.order))
                 if ws.order:
                     assert rel_gap(ws.x, ref.x) <= 1e-10 and rel_gap(ws.C, ref.C) <= 1e-10
                 apply_flip(int(rng.integers(0, 8)), ws)
 
-    def test_greedy_search_reaches_the_dense_support(self, rng):
+    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    def test_greedy_search_reaches_the_dense_support(self, rng, case):
         for _ in range(40):
             inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)),
-                                   snr_db=float(rng.uniform(0, 20)), tied_axes=(0,))
+                                   snr_db=float(rng.uniform(0, 20)), tied_axes=case.tied_axes)
             support, ws = greedy_search(workspace_of(inst))
-            ref, _ = greedy_search(make_workspace(spread_j(inst["J"], 5), inst["H"], inst["rho"], inst["tau"]))
+            ref, _ = greedy_search(make_workspace(spread_j(inst["J"]), inst["H"], inst["rho"], inst["tau"]))
             assert support.active_set == ref.active_set == tuple(ws.order)
             assert_is_fresh(ws, inst)
 
-    def test_eigh_failure_is_numerical_error(self, rng, monkeypatch):
+    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    def test_eigh_failure_is_numerical_error(self, rng, monkeypatch, case):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        inst = random_instance(rng, tied_axes=(0,))
+        inst = random_instance(rng, tied_axes=case.tied_axes)
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(NumericalError, match="posterior system not positive definite: Eigenvalues"):
             workspace_of(inst, (0, 3))
 
-    def test_nonpositive_eigenvalue_rejected(self, rng):
-        inst = random_instance(rng, tied_axes=(0,))
+    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    def test_nonpositive_eigenvalue_rejected(self, rng, case):
+        inst = random_instance(rng, tied_axes=case.tied_axes)
         J = ScaledGram(G=-5.0 * np.eye(8), w=inst["J"].w)
         with pytest.raises(NumericalError, match="posterior system not positive definite: eigenvalue"):
             make_workspace(J, inst["H"], 0.5, 1.0, support=(0, 3))
@@ -336,11 +336,7 @@ class TestLnZ:
                 flipped = support_vec(8, support)
                 flipped[k] = ~flipped[k]
                 expected = ln_z(flipped, ws) - base
-                if k in support:
-                    got = delta_deactivate(k, ws)
-                else:
-                    got = delta_activate(k, ws)
-                assert got == pytest.approx(expected, rel=1e-8, abs=1e-8)
+                assert _sweep_deltas(ws)[k] == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
 
 class TestDeltas:
@@ -358,20 +354,13 @@ class TestDeltas:
         k = 2
         ws_single = workspace_of(inst, (k,))
         ws_empty = workspace_of(inst)
-        act = delta_activate(k, ws_empty)
-        assert delta_deactivate(k, ws_single) == pytest.approx(-act, rel=1e-10)
+        act = _sweep_deltas(ws_empty)[k]
+        assert _sweep_deltas(ws_single)[k] == pytest.approx(-act, rel=1e-10)
 
     def test_strong_component_never_pruned(self, rng):
         inst = random_instance(rng, k_true=1, snr_db=30.0)
         ws = workspace_of(inst, (0,))
-        assert delta_deactivate(0, ws) < -100.0
-
-    def test_activate_requires_inactive(self, rng):
-        ws = workspace_of(random_instance(rng), (1,))
-        with pytest.raises(ValueError):
-            delta_activate(1, ws)
-        with pytest.raises(ValueError):
-            delta_deactivate(0, ws)
+        assert _sweep_deltas(ws)[0] < -100.0
 
 
 class TestApplyFlip:
