@@ -13,12 +13,22 @@ a cosine series with complex coefficients ``eta`` (one per antenna).  The mode
 is located by an FFT grid scan followed by Newton refinement, and the
 concentration is the negative curvature at the mode (Laplace matching).
 Each Newton evaluation is one ``exp`` and one product with the (3, M) series
-basis ``[c, i*m*c, -m^2*c]`` (``c = conj(eta)``), built once per fit.
+basis ``[c, i*m*c, -m^2*c]`` (``c = conj(eta)``), built once per fit.  What
+depends on the length M alone (the orders, the derivative weights, the grid
+size) is one cached plan per M.  The Newton steps and the Bessel-ratio
+recurrence run on Python floats: they follow the same IEEE double arithmetic
+as numpy's float64 scalars, bit for bit, at a fraction of the call cost
+(``tests/circular_reference.py`` keeps the numpy-scalar form as the oracle).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +54,7 @@ class VonMises:
     kappa: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu):
+        if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not self.kappa >= 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
@@ -82,14 +92,23 @@ def _ratio_table(kappa: float, n: int) -> np.ndarray:
         out = np.zeros(n0 + 1)
         out[0] = 1.0
         return out
+    fraction, twice_j = _ratio_constants(n0)
     u = 0.0
-    for k in range(20, 0, -1):
-        u = (2 * n0 + 2 * k - 1) / (2 * n0 + k + (2.0 - u) * kappa)
+    for num, den in fraction:
+        u = num / (den + (2.0 - u) * kappa)
     r = [1.0] * (n0 + 1)  # r[j] = I_j/I_{j-1}; r[0] = 1 starts the product
     r_j = 1.0 - u         # r_{n0+1}
     for j in range(n0, 0, -1):
-        r_j = r[j] = 1.0 / (2 * j / kappa + r_j)
-    return np.cumprod(r)
+        r_j = r[j] = 1.0 / (twice_j[j] / kappa + r_j)
+    # the same sequential products as np.cumprod, in one conversion
+    return np.fromiter(accumulate(r, operator.mul), dtype=float, count=n0 + 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _ratio_constants(n0: int) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """Perron's fraction terms ``(2n0+2k-1, 2n0+k)`` for ``k = 20..1`` and ``2j`` for ``j = 0..n0``, as floats."""
+    fraction = tuple((float(2 * n0 + 2 * k - 1), float(2 * n0 + k)) for k in range(20, 0, -1))
+    return fraction, tuple(float(2 * j) for j in range(n0 + 1))
 
 
 def moment_vector(vm: VonMises, M: int) -> np.ndarray:
@@ -101,22 +120,43 @@ def moment_vector(vm: VonMises, M: int) -> np.ndarray:
     """
     if M < 1:
         raise ValueError(f"length must be >= 1, got {M}")
-    return np.exp(1j * vm.mu * np.arange(M)) * _ratio_table(vm.kappa, M - 1)[:M]
+    return np.exp(1j * vm.mu * _plan(M).orders) * _ratio_table(vm.kappa, M - 1)[:M]
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
 
+class _Plan(NamedTuple):
+    """What a fit of length M needs besides eta; one cached instance per M."""
+
+    orders: np.ndarray   # 0..M-1 (int)
+    derivs: np.ndarray   # (2, M) complex rows 1j*orders and -(orders*orders)
+    G: int               # FFT grid size next_pow2(16*M)
+    grid_step: float     # 2*pi/G, exact scaling since G is a power of two
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(M: int) -> _Plan:
+    orders = np.arange(M)
+    G = _next_pow2(GRID_OVERSAMPLE * M)
+    derivs = np.array([1j * orders, -(orders * orders)])
+    for row in (derivs, orders):
+        row.flags.writeable = False  # shared by every caller
+    return _Plan(orders, derivs, G, 2.0 * np.pi / G)
+
+
 def _series_basis(eta_conj: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Rows ``[c, i*m*c, -m^2*c]`` (c = conj(eta)): the series and its two derivatives, (3, M)."""
-    return np.array([eta_conj, 1j * orders * eta_conj, -(orders * orders) * eta_conj])
+    """Rows ``[c, i*m*c, -m^2*c]`` (c = conj(eta), orders = 0..M-1): the series and its two derivatives, (3, M)."""
+    basis = np.empty((3, len(orders)), dtype=np.complex128)
+    basis[0] = eta_conj
+    np.multiply(_plan(len(orders)).derivs, eta_conj, out=basis[1:])
+    return basis
 
 
-def _series_eval(basis: np.ndarray, phase: np.ndarray, omega: float):
-    """Value, first and second derivative of the cosine-series log-density at omega; ``phase = 1j*orders``."""
-    f, fp, fpp = (basis @ np.exp(phase * omega)).real
-    return f, fp, fpp
+def _series_eval(basis: np.ndarray, phase: np.ndarray, omega: float) -> list[float]:
+    """Value, first and second derivative of the log-density at omega as Python floats; ``phase = 1j*orders``."""
+    return (basis @ np.exp(phase * omega)).real.tolist()
 
 
 def approximate_posterior(eta: np.ndarray) -> VonMises:
@@ -131,22 +171,22 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
     M = len(eta)
     if M < 2:
         raise ValueError(f"eta must have length >= 2, got {M}")
-    if not np.all(np.isfinite(eta)):
+    plan = _plan(M)
+    # a non-finite entry makes the sum nan or inf (entry 0 as 0*inf = nan); only then
+    # is every entry checked, so a finite eta whose sum overflows is still fitted
+    scale = float((plan.orders * np.abs(eta)).sum())
+    if not math.isfinite(scale) and not np.all(np.isfinite(eta)):
         raise ValueError("eta contains non-finite entries")
-
-    orders = np.arange(M)
-    eta_conj = np.conj(eta)
-    scale = float((orders * np.abs(eta)).sum())
     if scale == 0.0:
         return VonMises(0.0, 0.0)
 
-    G = _next_pow2(GRID_OVERSAMPLE * M)
-    grid = np.fft.ifft(eta_conj, n=G, norm="forward").real  # unscaled: sum_m conj(eta_m) e^{i m w_g}
-    omega = 2.0 * np.pi * int(np.argmax(grid)) / G
+    basis = _series_basis(np.conj(eta), plan.orders)
+    grid = np.fft.ifft(basis[0], n=plan.G, norm="forward").real  # unscaled: sum_m conj(eta_m) e^{i m w_g}
+    omega = plan.grid_step * int(grid.argmax())
 
-    max_step = 2.0 * np.pi / G
+    max_step = plan.grid_step
     tol = GRAD_TOL * max(1.0, scale)
-    basis, phase = _series_basis(eta_conj, orders), 1j * orders
+    phase = plan.derivs[0]  # 1j*orders
     f, fp, fpp = _series_eval(basis, phase, omega)
     for _ in range(NEWTON_STEPS):
         if abs(fp) <= tol or fpp >= 0.0:

@@ -58,7 +58,8 @@ class NoiseEstimate:
         if v.shape != shape:
             raise ValueError(f"Case {self.case.value} expects noise values of shape {shape}, "
                              f"got shape {v.shape}")
-        return np.expand_dims(v, self.case.tied_axes)
+        tied = self.case.tied_axes
+        return v.reshape(1 if 0 in tied else M, 1 if 1 in tied else L)
 
 
 @dataclass
@@ -214,24 +215,9 @@ def _sweep_terms(state: InferenceState, Y: np.ndarray):
     return W, RW, P + np.diagonal(Q, axis1=1, axis2=2), Q
 
 
-def _eta(RW, D, Q, A_S, X, p) -> np.ndarray:
-    """Coefficient of active component p from one sweep's terms and the current moments A_S."""
-    return 2.0 * (RW @ np.conj(X[p]) + A_S[:, p] * D[:, p] - (A_S * Q[:, :, p]).sum(axis=1))
-
-
-def frequency_eta(state: InferenceState, Y: np.ndarray, i: int) -> np.ndarray:
-    """Harmonic coefficient vector driving component i's frequency posterior.
-
-    Per snapshot: twice the inverse-variance weighting of the
-    interference-cancelled residual correlated with the weight estimate,
-    minus the posterior-covariance coupling to the other active components;
-    summed over snapshots.
-    """
-    S = state.support.active_set
-    if i not in S:
-        raise ValueError(f"component {i} is not active")
-    _, RW, D, Q = _sweep_terms(state, Y)
-    return _eta(RW, D, Q, state.moments[:, list(S)], state.weight_means, S.index(i))
+def _eta(RW, D, Q, A_S, X_conj, p) -> np.ndarray:
+    """Coefficient of active component p from one sweep's terms, the current moments A_S and ``conj(X)``."""
+    return 2.0 * (RW @ X_conj[p] + A_S[:, p] * D[:, p] - (A_S * Q[:, :, p]).sum(axis=1))
 
 
 def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
@@ -249,8 +235,9 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
     W, RW, D, Q = _sweep_terms(state, Y)
     A_S = state.moments[:, S]
     X = state.weight_means
+    X_conj = np.conj(X)
     for p, i in enumerate(S):
-        vm = approximate_posterior(_eta(RW, D, Q, A_S, X, p))
+        vm = approximate_posterior(_eta(RW, D, Q, A_S, X_conj, p))
         a_new = moment_vector(vm, M)
         RW -= (a_new - A_S[:, p])[:, None] * X[p] * W
         A_S[:, p] = a_new

@@ -234,6 +234,17 @@ class TestApproximatePosterior:
         with pytest.raises(ValueError):
             approximate_posterior(np.zeros(1, dtype=complex))
 
+    # an infinite entry 0 enters the weighted magnitude sum as 0*inf, which numpy may warn about
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("position", [0, 9, 19], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, position, part, bad):
+        eta = np.random.default_rng(3).standard_normal(20) + 1j
+        eta[position] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+        with pytest.raises(ValueError, match="^eta contains non-finite entries$"):
+            approximate_posterior(eta)
+
     @pytest.mark.parametrize("M", [2, 20, 64])
     def test_series_basis_matches_direct_sums(self, M):
         rng = np.random.default_rng(M)

@@ -12,7 +12,8 @@ from gdoa.inference import (
     HyperParams,
     InferenceState,
     NoiseEstimate,
-    frequency_eta,
+    _eta,
+    _sweep_terms,
     init_state,
     noise_cell_quantities,
     run,
@@ -23,6 +24,13 @@ from gdoa.inference import (
 )
 from gdoa.model import NoiseCase, ScenarioConfig, steering_matrix, steering_vector, synthesize_scene
 from gdoa.support_search import NumericalError, SupportState, compute_jh, ln_z, make_workspace
+
+
+def sweep_eta(state, Y, i):
+    """Coefficient of active component i as one frequency sweep forms it from its shared terms."""
+    S = state.support.active_set
+    _, RW, D, Q = _sweep_terms(state, Y)
+    return _eta(RW, D, Q, state.moments[:, list(S)], np.conj(state.weight_means), S.index(i))
 
 
 def make_state(rng, M=6, N=6, L=2, active=(1, 3), case=NoiseCase.IV, nu=None):
@@ -179,7 +187,7 @@ class TestFrequencyEta:
         state = make_state(rng)
         Y = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         for i in state.support.active_set:
-            got = frequency_eta(state, Y, i)
+            got = sweep_eta(state, Y, i)
             want = eta_oracle(state, Y, i)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -190,7 +198,7 @@ class TestFrequencyEta:
         state_i.noise = NoiseEstimate(case=NoiseCase.I, values=0.7)
         state_iv = make_state(np.random.default_rng(42), case=NoiseCase.IV, nu=nu)
         for i in (1, 3):
-            np.testing.assert_array_equal(frequency_eta(state_i, Y, i), frequency_eta(state_iv, Y, i))
+            np.testing.assert_array_equal(sweep_eta(state_i, Y, i), sweep_eta(state_iv, Y, i))
 
     def test_selfconsistent_fixed_point(self):
         # one active component, exact data: the posterior mode must sit at omega0
@@ -208,7 +216,7 @@ class TestFrequencyEta:
             noise=NoiseEstimate(case=NoiseCase.I, values=0.01),
             noise_floor=1e-12,
         )
-        eta = frequency_eta(state, Y, 0)
+        eta = sweep_eta(state, Y, 0)
         np.testing.assert_allclose(eta, 2.0 / 0.01 * a * abs(x) ** 2, rtol=1e-12)
         update_frequencies(state, Y)
         assert state.posteriors[0].mu == pytest.approx(omega0, abs=1e-9)
@@ -305,7 +313,7 @@ class TestSeparableEigenbasis:
 
             close(noise_cell_quantities(state, Y), noise_cell_quantities(dense, Y))
             for i in S:
-                close(frequency_eta(state, Y, i), eta_oracle(dense, Y, i))
+                close(sweep_eta(state, Y, i), eta_oracle(dense, Y, i))
             update_hyperparams(state)
             energy = np.sum(np.abs(state.weight_means) ** 2)
             close(state.hyper.tau, (energy + sum(np.trace(C[l]).real for l in range(L))) / (L * k))
