@@ -23,6 +23,7 @@ as numpy's float64 scalars, bit for bit, at a fraction of the call cost
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -146,11 +147,11 @@ def _plan(M: int) -> _Plan:
     return _Plan(orders, derivs, G, 2.0 * np.pi / G)
 
 
-def _series_basis(eta_conj: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Rows ``[c, i*m*c, -m^2*c]`` (c = conj(eta), orders = 0..M-1): the series and its two derivatives, (3, M)."""
-    basis = np.empty((3, len(orders)), dtype=np.complex128)
+def _series_basis(eta_conj: np.ndarray, derivs: np.ndarray) -> np.ndarray:
+    """Rows ``[c, i*m*c, -m^2*c]`` (c = conj(eta), ``derivs = [i*m, -m^2]``): the series and its two derivatives, (3, M)."""
+    basis = np.empty((3, len(eta_conj)), dtype=np.complex128)
     basis[0] = eta_conj
-    np.multiply(_plan(len(orders)).derivs, eta_conj, out=basis[1:])
+    np.multiply(derivs, eta_conj, out=basis[1:])
     return basis
 
 
@@ -172,15 +173,16 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
     if M < 2:
         raise ValueError(f"eta must have length >= 2, got {M}")
     plan = _plan(M)
-    # a non-finite entry makes the sum nan or inf (entry 0 as 0*inf = nan); only then
-    # is every entry checked, so a finite eta whose sum overflows is still fitted
-    scale = float((plan.orders * np.abs(eta)).sum())
+    # a non-finite entry m >= 1 makes the sum nan or inf, and only then is every entry
+    # checked, so a finite eta whose sum overflows is still fitted; entry 0 has weight 0
+    # and is checked before the product, which would meet it as 0*inf
+    scale = float((plan.orders * np.abs(eta)).sum()) if cmath.isfinite(eta[0]) else math.nan
     if not math.isfinite(scale) and not np.all(np.isfinite(eta)):
         raise ValueError("eta contains non-finite entries")
     if scale == 0.0:
         return VonMises(0.0, 0.0)
 
-    basis = _series_basis(np.conj(eta), plan.orders)
+    basis = _series_basis(np.conj(eta), plan.derivs)
     grid = np.fft.ifft(basis[0], n=plan.G, norm="forward").real  # unscaled: sum_m conj(eta_m) e^{i m w_g}
     omega = plan.grid_step * int(grid.argmax())
 

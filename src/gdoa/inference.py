@@ -58,8 +58,7 @@ class NoiseEstimate:
         if v.shape != shape:
             raise ValueError(f"Case {self.case.value} expects noise values of shape {shape}, "
                              f"got shape {v.shape}")
-        tied = self.case.tied_axes
-        return v.reshape(1 if 0 in tied else M, 1 if 1 in tied else L)
+        return np.expand_dims(v, self.case.tied_axes)
 
 
 @dataclass

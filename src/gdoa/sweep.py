@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,8 +35,6 @@ SWEEP_AXES = ("snr_db", "delta_nu_db")
 KNOWN_ALGORITHMS = tuple(ALGORITHM_CASES) + ("CBF",)
 _MASK64 = (1 << 64) - 1
 _VALUE_BITS = 20  # seed schedule supports < 2**20 sweep values per sweep
-# each worker runs single-threaded, so a pool of n workers keeps to n cores
-_WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -189,38 +185,13 @@ def _db_of_mean(values: list[float]) -> float:
     return EXACT_DB if mean == 0.0 else 10.0 * math.log10(mean)
 
 
-@contextmanager
-def _worker_pool(workers: int):
-    """A spawn-started process pool whose workers start with one BLAS/OpenMP thread each.
-
-    The workers inherit the environment when the pool starts them (on the
-    first submissions), so the thread variables are set to 1 while the pool
-    lives and the caller's values are restored when it closes.
-    """
-    saved = {name: os.environ.get(name) for name in _WORKER_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_WORKER_THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def run_sweep(config: SweepConfig, master_seed: int | None = None, workers: int = 1) -> ResultTable:
-    """Run the full sweep and aggregate into one row per (algorithm, value).
-
-    With ``workers > 1`` the trials run in a pool of spawn-started,
-    single-threaded worker processes; the table is the same bytes.
-    """
+    """Run the full sweep and aggregate into one row per (algorithm, value)."""
     master = config.base.seed if master_seed is None else int(master_seed)
     jobs = [(config, vi, t, master) for vi in range(len(config.values)) for t in range(config.trials)]
 
     records = []
-    with _worker_pool(workers) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # both maps yield in job order, which is the (value, trial) aggregation order
         trials = pool.map(_trial_job, jobs, chunksize=4) if pool else map(_trial_job, jobs)
         for recs in trials:

@@ -1,6 +1,5 @@
 import csv
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -92,18 +91,6 @@ class TestRunSweep:
         write_result_table(p1, t_serial)
         write_result_table(p2, t_pool)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_pool_workers_start_single_threaded(self, monkeypatch):
-        names = sweep._WORKER_THREAD_VARS
-        assert set(names) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with sweep._worker_pool(2) as pool:
-            seen = [pool.submit(os.getenv, name).result(timeout=120) for name in names]
-        assert seen == ["1", "1", "1"]
-        assert (os.getenv("OPENBLAS_NUM_THREADS"), os.getenv("OMP_NUM_THREADS")) == ("4", "3")
-        assert "MKL_NUM_THREADS" not in os.environ
 
     def test_master_seed_override(self):
         cfg = small_sweep(trials=2)
