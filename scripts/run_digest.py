@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
 """One line per estimator run over a fixed run set, with a digest of its results.
 
-A change meant to leave every estimate bit for bit as it was prints the same
-output before and after it, so ``diff`` of the two outputs is the evidence:
+Run it on two versions of the package and compare the outputs:
 
     PYTHONPATH=src python3 scripts/run_digest.py > after.txt
 
 Each line gives the variant, the scene (noise case, M, L, SNR, seed), ``k_hat``,
-the iteration count, ``converged`` and the sha256 of the bytes of the
-posterior mean frequencies, the concentrations, the weight means and the
-noise values, in that order.  The run set is 76 runs:
+the iteration count, ``converged``, the sha256 of the bytes of the posterior
+mean frequencies, the concentrations, the weight means and the noise values,
+in that order, and last the posterior mean frequencies omega themselves
+(``repr``, in support order).
+
+A change meant to leave every estimate bit for bit as it was prints the same
+output before and after it, so ``diff`` of the two outputs is the evidence.  A
+change that may move the last bits passes when, on every line, ``k_hat``, the
+iteration count and ``converged`` are equal and every omega stays within
+1e-8 rad, the tolerance of ``tests/test_pinned_results.py``.  The run set is
+76 runs:
 
 * M=20, L=10, K=3 at omega = (-0.1, 0.5, 2.1), Cases II and IV, 0/5/10/15 dB,
   seeds 9100-9101, all four variants (64 runs);
@@ -59,7 +66,8 @@ def run_set(spec):
                     result = run(snap, case=ALGORITHM_CASES[variant])
                     yield (f"{variant} case={case.value} M={spec['M']} L={spec['L']} snr={snr:g} seed={seed} "
                            f"k_hat={result.k_hat} iterations={result.iterations} "
-                           f"converged={int(result.converged)} sha256={digest(result)}")
+                           f"converged={int(result.converged)} sha256={digest(result)} "
+                           f"omegas={[float(w) for w in result.omegas]!r}")
 
 
 def main() -> int:

@@ -174,11 +174,13 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
         raise ValueError(f"eta must have length >= 2, got {M}")
     plan = _plan(M)
     # a non-finite entry m >= 1 makes the sum nan or inf, and only then is every entry
-    # checked, so a finite eta whose sum overflows is still fitted; entry 0 has weight 0
-    # and is checked before the product, which would meet it as 0*inf
+    # checked; entry 0 has weight 0 and is checked before the product, which would meet
+    # it as 0*inf
     scale = float((plan.orders * np.abs(eta)).sum()) if cmath.isfinite(eta[0]) else math.nan
-    if not math.isfinite(scale) and not np.all(np.isfinite(eta)):
-        raise ValueError("eta contains non-finite entries")
+    if not math.isfinite(scale):
+        if not np.all(np.isfinite(eta)):
+            raise ValueError("eta contains non-finite entries")
+        raise ValueError("sum of m*|eta_m| overflows float64; rescale eta")
     if scale == 0.0:
         return VonMises(0.0, 0.0)
 

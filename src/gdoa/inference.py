@@ -29,7 +29,7 @@ import numpy as np
 
 from .circular import VonMises, _next_pow2, approximate_posterior, moment_vector
 from .model import NoiseCase, SnapshotMatrix
-from .support_search import SupportState, compute_jh, greedy_search, make_workspace
+from .support_search import CholeskyPosterior, EigenPosterior, SupportState, compute_jh, greedy_search, make_workspace
 
 ALGORITHM_CASES = {
     "MVALSE": NoiseCase.I,
@@ -99,13 +99,10 @@ class InferenceState:
     moments: np.ndarray            # (M, N) expected steering vectors
     support: SupportState
     weight_means: np.ndarray       # (k, L), rows in ascending support order
-    weight_covs: np.ndarray        # (L, k, k), same ordering; in Cases I-III built from weight_eig
+    weight_posterior: EigenPosterior | CholeskyPosterior  # the C_l, same ordering, as the search factored them
     hyper: HyperParams
     noise: NoiseEstimate
     noise_floor: float
-    # separable noise (Cases I-III): one eigenbasis (V (k, k), d (L, k)), weight_covs[l] = V diag(d[l]) V^H;
-    # None for per-cell noise (Case IV)
-    weight_eig: tuple[np.ndarray, np.ndarray] | None = None
     iteration: int = 0
 
 
@@ -187,7 +184,7 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         moments=moments,
         support=SupportState.from_indices(N, ()),
         weight_means=np.zeros((0, L), dtype=np.complex128),
-        weight_covs=np.zeros((L, 0, 0), dtype=np.complex128),
+        weight_posterior=EigenPosterior(V=np.zeros((0, 0), dtype=np.complex128), d=np.zeros((L, 0))),
         hyper=hyper,
         noise=noise,
         noise_floor=floor,
@@ -209,8 +206,7 @@ def _sweep_terms(state: InferenceState, Y: np.ndarray):
     RW = (Y - A_S @ X) * W
     W_l = np.broadcast_to(W, (W.shape[0], L))
     P = W_l @ (np.abs(X) ** 2).T                               # (M|1, k)
-    k = X.shape[0]
-    Q = (W_l @ state.weight_covs.reshape(L, k * k)).reshape(-1, k, k)
+    Q = state.weight_posterior.weighted_sum(W_l)
     return W, RW, P + np.diagonal(Q, axis1=1, axis2=2), Q
 
 
@@ -252,8 +248,7 @@ def update_weights_support(state: InferenceState, Y: np.ndarray) -> InferenceSta
     ws = make_workspace(J, H, state.hyper.rho, state.hyper.tau, support=state.support.active_set)
     state.support, ws = greedy_search(ws)
     state.weight_means = ws.x
-    state.weight_covs = ws.C
-    state.weight_eig = None if ws.V is None else (ws.V, ws.d)
+    state.weight_posterior = ws.posterior
     return state
 
 
@@ -267,8 +262,7 @@ def update_hyperparams(state: InferenceState) -> InferenceState:
         return state
     L = state.weight_means.shape[1]
     energy = float(np.sum(np.abs(state.weight_means) ** 2))
-    cov_trace = float(np.einsum("lkk->", state.weight_covs).real)
-    tau = (energy + cov_trace) / (L * k)
+    tau = (energy + state.weight_posterior.trace()) / (L * k)
     state.hyper = HyperParams(rho=rho, tau=max(tau, 1e-100))
     return state
 
@@ -282,11 +276,7 @@ def noise_cell_quantities(state: InferenceState, Y: np.ndarray) -> np.ndarray:
     X = state.weight_means
     resid = Y - A_S @ X
     term1 = np.abs(resid) ** 2
-    if state.weight_eig is None:
-        term2 = ((A_S[None, :, :] @ state.weight_covs) * np.conj(A_S)[None, :, :]).sum(axis=2).real.T
-    else:
-        V, d = state.weight_eig
-        term2 = np.abs(A_S @ V) ** 2 @ d.T
+    term2 = state.weight_posterior.cell_variance(A_S)
     term3 = (1.0 - np.abs(A_S) ** 2) @ (np.abs(X) ** 2)
     return term1 + term2 + term3
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-from dataclasses import asdict
 
 import numpy as np
 
@@ -290,14 +289,6 @@ def parse_scenario(doc: dict, where: str = "scenario config") -> ScenarioConfig:
 
 def read_scenario_config(path) -> ScenarioConfig:
     return parse_scenario(_read_json(path), where=str(path))
-
-
-def scenario_to_doc(config: ScenarioConfig) -> dict:
-    doc = asdict(config)
-    doc["noise_case"] = config.noise_case.value
-    doc["true_omegas"] = list(config.true_omegas)
-    doc["amplitude"] = doc.pop("amplitude_law")
-    return doc
 
 
 def parse_sweep_config(doc: dict, where: str = "sweep config"):

@@ -17,20 +17,22 @@ batched pass.  The factorisation follows the noise structure:
   ``J_l = w_l G`` for one Gram G, so one ``eigh`` of
   ``G_S = V diag(lambda) V^H`` diagonalises every ``A_l``:
   ``C_l = V diag(d_l) V^H`` with ``d_{l,j} = 1/(lambda_j w_l + 1/tau)``.
-  The workspace keeps G, the L weights w, the (k, k) basis V and the
-  (L, k) eigenvalues d, and no per-snapshot matrix.
-* Per-cell noise (Case IV) needs one Gram per snapshot, an (L, N, N)
-  stack, and one batched Cholesky, kept as the inverse factor
-  ``R_l = chol(A_l)^{-1}`` (lower triangular, (L, k, k)), so
-  ``C_l = R_l^H R_l``, ``ln det A_l = -2 sum ln diag R_l`` and
-  ``H^H A_l^{-1} H = ||R_l H_{S,l}||^2``.
+  The posterior is an :class:`EigenPosterior` of the (k, k) basis V and
+  the (L, k) eigenvalues d, and no per-snapshot matrix.
+* Per-cell noise (Case IV) needs one Gram per snapshot, an (L, N, N) stack,
+  and one batched Cholesky.  The posterior is a :class:`CholeskyPosterior`
+  of the inverse factor ``R_l = chol(A_l)^{-1}`` (lower triangular,
+  (L, k, k)), so ``C_l = R_l^H R_l`` and ``ln det C_l = 2 sum ln diag R_l``.
 
-The per-snapshot weights x and linear terms H always carry L columns.
+Both forms give the same readings of the C_l, so the score here and the
+estimator's updates never ask which form they hold.  The per-snapshot
+weights x and linear terms H always carry L columns.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,17 +76,76 @@ class ScaledGram:
     w: np.ndarray            # (L,) per-snapshot weights
 
 
+@dataclass(frozen=True)
+class EigenPosterior:
+    """Weight posterior ``C_l = V diag(d_l) V^H`` of separable noise (Cases I-III).
+
+    Its readings, shared with :class:`CholeskyPosterior`: ``diag()`` the (L, k)
+    diagonals of the C_l; ``weighted_sum(W)`` ``Q = sum_l W[:, l] C_l``
+    (M|1, k, k) for an (M|1, L) grid W; ``trace()`` ``sum_l tr C_l``;
+    ``cell_variance(A)`` the (M, L) grid ``a_m C_l a_m^H`` over the rows a_m
+    of A (M, k); ``ln_det()`` ``sum_l ln det C_l``.
+    """
+
+    V: np.ndarray            # (k, k) unitary eigenbasis of G_S
+    d: np.ndarray            # (L, k) eigenvalues of the C_l
+
+    def diag(self) -> np.ndarray:
+        return (np.abs(self.V) ** 2 @ self.d.T).T
+
+    def weighted_sum(self, W: np.ndarray) -> np.ndarray:
+        # row m is V diag((W d)_m) V^H: one product with the outer products v_p v_p^H of V's columns
+        k = len(self.V)
+        outer = (self.V.T[:, :, None] * np.conj(self.V.T)[:, None, :]).reshape(k, k * k)
+        return ((W @ self.d) @ outer).reshape(-1, k, k)
+
+    def trace(self) -> float:
+        return float(self.d.sum())
+
+    def cell_variance(self, A: np.ndarray) -> np.ndarray:
+        return np.abs(A @ self.V) ** 2 @ self.d.T
+
+    def ln_det(self) -> float:
+        return float(np.log(self.d).sum())
+
+
+@dataclass(frozen=True)
+class CholeskyPosterior:
+    """Weight posterior ``C_l = R_l^H R_l`` of per-cell noise (Case IV), R_l triangular with a positive diagonal."""
+
+    R: np.ndarray            # (L, k, k)
+
+    @functools.cached_property
+    def C(self) -> np.ndarray:  # the (L, k, k) stack, built by the first reading that needs it
+        return np.conj(np.swapaxes(self.R, 1, 2)) @ self.R
+
+    def diag(self) -> np.ndarray:
+        return (np.abs(self.R) ** 2).sum(axis=1)             # the column norms of R
+
+    def weighted_sum(self, W: np.ndarray) -> np.ndarray:
+        L, k = self.R.shape[:2]
+        return (W @ self.C.reshape(L, k * k)).reshape(-1, k, k)
+
+    def trace(self) -> float:
+        return float(np.einsum("lkk->", self.C).real)
+
+    def cell_variance(self, A: np.ndarray) -> np.ndarray:
+        return ((A[None, :, :] @ self.C) * np.conj(A)[None, :, :]).sum(axis=2).real.T
+
+    def ln_det(self) -> float:
+        return 2.0 * float(np.log(np.einsum("lkk->lk", self.R).real).sum())
+
+
 @dataclass
 class SearchWorkspace:
     """Cached quadratic-form data and the factorisation of one support, for one greedy search.
 
-    ``order`` lists the active indices in ascending order; ``R`` (or ``V``)
-    and ``x`` are indexed accordingly.  Invariants, restored by ``_refresh``
-    after every flip: x[:, l] = C_l @ H[order, l], and either
-    G[order][:, order] = V diag(lambda) V^H and d[l] = 1/(lambda w_l + 1/tau)
-    when ``J`` is a :class:`ScaledGram` (separable noise), or
-    R_l = chol([J_l]_order + I/tau)^{-1}, lower triangular, when ``J`` is the
-    (L, N, N) stack of per-cell noise.
+    ``order`` lists the active indices in ascending order; the posterior and
+    ``x`` are indexed accordingly.  Invariants, restored by ``_refresh`` after
+    every flip: ``posterior`` holds C_l = ([J_l]_order + I/tau)^{-1}, as an
+    :class:`EigenPosterior` of G[order][:, order] when ``J`` is a
+    :class:`ScaledGram` and as a :class:`CholeskyPosterior` when ``J`` is the
+    (L, N, N) stack of per-cell noise, and x[:, l] = C_l @ H[order, l].
     """
 
     J: np.ndarray | ScaledGram   # (L, N, N) Hermitian, diagonal = tr(Sigma_l^{-1}); or one scaled Gram
@@ -92,9 +153,7 @@ class SearchWorkspace:
     rho: float
     tau: float
     order: list[int] = field(default_factory=list)
-    R: np.ndarray = None     # (L, k, k); Cholesky form (Case IV) only
-    V: np.ndarray = None     # (k, k) unitary eigenbasis of G_S; eigenbasis form only
-    d: np.ndarray = None     # (L, k) eigenvalues of C_l; eigenbasis form only
+    posterior: EigenPosterior | CholeskyPosterior = None
     x: np.ndarray = None     # (k, L)
     flips: int = 0
 
@@ -110,24 +169,11 @@ class SearchWorkspace:
         return math.log(self.rho) - math.log1p(-self.rho)
 
     @property
-    def C(self) -> np.ndarray:
-        """Weight posterior covariances C_l, (L, k, k)."""
-        if isinstance(self.J, ScaledGram):
-            return (self.V * self.d[:, None, :]) @ np.conj(self.V.T)
-        return np.conj(np.swapaxes(self.R, 1, 2)) @ self.R
-
-    @property
     def ln_z(self) -> float:
-        """Evidence score of the current support, read off the factorisation."""
+        """Evidence score of the current support; ``H_S^H C_l H_S`` is read as ``H_S^H x_l``."""
         k = len(self.order)
-        H_S = self.H[self.order, :]
-        if isinstance(self.J, ScaledGram):
-            lndet_C = np.log(self.d).sum()
-            quad = float((self.d.T * np.abs(np.conj(self.V.T) @ H_S) ** 2).sum())
-        else:
-            lndet_C = 2.0 * np.log(np.einsum("lkk->lk", self.R).real).sum()
-            quad = float((np.abs(np.einsum("lij,jl->il", self.R, H_S)) ** 2).sum())
-        return k * self.log_odds() + lndet_C - self.L * k * math.log(self.tau) + quad
+        quad = float(np.vdot(self.H[self.order, :], self.x).real)
+        return k * self.log_odds() + self.posterior.ln_det() - self.L * k * math.log(self.tau) + quad
 
 
 def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
@@ -202,26 +248,28 @@ def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
 
 
 def _refresh(ws: SearchWorkspace) -> None:
-    """Factor A_l = [J_l]_S + I/tau of the current support; set R (or V, d) and x from it."""
+    """Factor A_l = [J_l]_S + I/tau of the current support; set the posterior and x from it."""
     H_S = ws.H[ws.order, :]
     if isinstance(ws.J, ScaledGram):
         try:
-            lam, ws.V = np.linalg.eigh(ws.J.G[np.ix_(ws.order, ws.order)])
+            lam, V = np.linalg.eigh(ws.J.G[np.ix_(ws.order, ws.order)])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"posterior system not positive definite: {exc}") from exc
         prec = ws.J.w[:, None] * lam + 1.0 / ws.tau         # (L, k) eigenvalues of A_l
         if not np.all(prec > 0):
             raise NumericalError(f"posterior system not positive definite: eigenvalue {prec.min():.3g}")
-        ws.d = 1.0 / prec
-        ws.x = ws.V @ (ws.d.T * (np.conj(ws.V.T) @ H_S))
+        d = 1.0 / prec
+        ws.posterior = EigenPosterior(V=V, d=d)
+        ws.x = V @ (d.T * (np.conj(V.T) @ H_S))
         return
     A = ws.J[:, ws.order][:, :, ws.order] + np.eye(len(ws.order)) / ws.tau
     try:
-        ws.R = np.linalg.inv(np.linalg.cholesky(A))
+        R = np.linalg.inv(np.linalg.cholesky(A))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior system not positive definite: {exc}") from exc
-    z = np.einsum("lij,jl->il", ws.R, H_S)
-    ws.x = np.einsum("lji,jl->il", np.conj(ws.R), z)
+    ws.posterior = CholeskyPosterior(R=R)
+    z = np.einsum("lij,jl->il", R, H_S)
+    ws.x = np.einsum("lji,jl->il", np.conj(R), z)
 
 
 def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
@@ -235,14 +283,14 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
     if inactive:
         # per snapshot and candidate m: quad = J_{S,m}^H C J_{S,m}, cross = J_{S,m}^H x, tr_inv = J_mm
         if isinstance(ws.J, ScaledGram):
-            w = ws.J.w
+            w, V, d = ws.J.w, ws.posterior.V, ws.posterior.d
             Gsel = ws.J.G[np.ix_(active, inactive)]          # (s, m)
-            quad = (ws.d * w[:, None] ** 2) @ (np.abs(np.conj(ws.V.T) @ Gsel) ** 2)
+            quad = (d * w[:, None] ** 2) @ (np.abs(np.conj(V.T) @ Gsel) ** 2)
             cross = w[:, None] * (np.conj(Gsel.T) @ ws.x).T
             tr_inv = ws.J.G[0, 0].real * w
         else:
             Jsel = ws.J[:, active][:, :, inactive]            # (L, s, m)
-            quad = (np.abs(ws.R @ Jsel) ** 2).sum(axis=1)     # (L, m)
+            quad = (np.abs(ws.posterior.R @ Jsel) ** 2).sum(axis=1)  # (L, m)
             cross = (ws.x.T[:, None, :] @ np.conj(Jsel))[:, 0, :]  # (L, m); matmul is 3-4x einsum's speed here
             tr_inv = ws.J[:, 0, 0].real                       # the constant diagonal, tr(Sigma_l^{-1})
         denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
@@ -253,10 +301,7 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
         deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
 
     if active:
-        if isinstance(ws.J, ScaledGram):
-            cpp = (np.abs(ws.V) ** 2 @ ws.d.T).T              # diag of C_l = V diag(d_l) V^H
-        else:
-            cpp = (np.abs(ws.R) ** 2).sum(axis=1)             # diag of C: the column norms of R
+        cpp = ws.posterior.diag()                             # (L, k) diagonals of the C_l
         deltas[active] = -(np.log(cpp / ws.tau) + np.abs(ws.x.T) ** 2 / cpp).sum(axis=0) - log_odds
 
     return deltas

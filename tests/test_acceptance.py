@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
 
-from conftest import random_instance, workspace_of
+from conftest import dense_covs, random_instance, workspace_of
 from gdoa.baselines import AngularGrid, cbf_spectrum
 from gdoa.circular import VonMises, moment_vector
 from gdoa.crb import CrbParameterization, fim, signal_partials
@@ -67,10 +67,10 @@ def test_criterion_1_rank_one_oracle_equivalence():
         apply_flip(k, ws)
         C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
         if ws.order:
-            assert np.abs(ws.C - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())
+            assert np.abs(dense_covs(ws.posterior) - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())
             assert np.abs(ws.x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
         else:
-            assert ws.C.shape == (3, 0, 0) and ws.x.shape == (0, 3)
+            assert dense_covs(ws.posterior).shape == (3, 0, 0) and ws.x.shape == (0, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(1, f"rank-one oracle equivalence ({elapsed:.1f}s)")

@@ -79,7 +79,7 @@ def _outcome(fit, eta):
 
 
 @pytest.mark.parametrize("M", [3, 20, 64])
-def test_finite_eta_whose_weighted_sum_overflows_is_fitted_as_the_reference(M):
+def test_finite_eta_whose_weighted_sum_overflows_is_refused_with_the_cause(M):
     rng = np.random.default_rng(M)
     m = np.arange(M)
     noisy = 1e300 * _noise(rng, M)
@@ -88,4 +88,6 @@ def test_finite_eta_whose_weighted_sum_overflows_is_fitted_as_the_reference(M):
         with np.errstate(over="ignore"):
             assert not np.isfinite((m * np.abs(eta)).sum())
         assert np.all(np.isfinite(eta))
-        assert _outcome(circular.approximate_posterior, eta) == _outcome(ref.approximate_posterior, eta)
+        assert _outcome(circular.approximate_posterior, eta) == (
+            "raised", "sum of m*|eta_m| overflows float64; rescale eta")
+        assert _outcome(ref.approximate_posterior, eta)[0] == "raised"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_moments, random_variances
+from conftest import cholesky_posterior, dense_covs, random_moments, random_variances
 from gdoa import inference
 from gdoa.circular import VonMises, approximate_posterior, moment_vector
 from gdoa.inference import (
@@ -23,7 +23,15 @@ from gdoa.inference import (
     update_weights_support,
 )
 from gdoa.model import NoiseCase, ScenarioConfig, steering_matrix, steering_vector, synthesize_scene
-from gdoa.support_search import NumericalError, SupportState, compute_jh, ln_z, make_workspace
+from gdoa.support_search import (
+    CholeskyPosterior,
+    EigenPosterior,
+    NumericalError,
+    SupportState,
+    compute_jh,
+    ln_z,
+    make_workspace,
+)
 
 
 def sweep_eta(state, Y, i):
@@ -56,7 +64,7 @@ def make_state(rng, M=6, N=6, L=2, active=(1, 3), case=NoiseCase.IV, nu=None):
         moments=moments,
         support=SupportState.from_indices(N, active),
         weight_means=means,
-        weight_covs=covs,
+        weight_posterior=cholesky_posterior(covs),
         hyper=HyperParams(rho=0.3, tau=1.5),
         noise=NoiseEstimate(case=case, values=values),
         noise_floor=1e-15,
@@ -69,6 +77,7 @@ def eta_oracle(state, Y, i):
     p = S.index(i)
     M, L = Y.shape
     grid = np.broadcast_to(state.noise.compact_grid(M, L), (M, L))
+    C = dense_covs(state.weight_posterior)
     eta = np.zeros(M, dtype=complex)
     for l in range(L):
         sigma_inv = np.diag(1.0 / grid[:, l])
@@ -79,7 +88,7 @@ def eta_oracle(state, Y, i):
         cov = np.zeros(M, dtype=complex)
         for q, j in enumerate(S):
             if j != i:
-                cov += state.weight_covs[l][q, p] * state.moments[:, j]
+                cov += C[l][q, p] * state.moments[:, j]
         eta += 2.0 * sigma_inv @ (resid * np.conj(state.weight_means[p, l]) - cov)
     return eta
 
@@ -124,7 +133,7 @@ class TestInitState:
         Y = steering_matrix([-0.7, 0.4, 1.9], M) @ X + 0.3 * (
             rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
         state = init_state(Y, M, case)
-        assert state.weight_covs.shape == (L, 0, 0)
+        assert dense_covs(state.weight_posterior).shape == (L, 0, 0)
         # the seeding written with the inverse-variance weights of the uniform start nu0
         weights_inv = np.full((M, L), 1.0 / (INIT_NOISE_FRACTION * np.mean(np.abs(Y) ** 2)))
         tr_inv = weights_inv.sum(axis=0)
@@ -211,7 +220,7 @@ class TestFrequencyEta:
             moments=a.reshape(-1, 1) * 1.0,
             support=SupportState.from_indices(1, (0,)),
             weight_means=np.array([[x]]),
-            weight_covs=np.zeros((1, 1, 1), dtype=complex),
+            weight_posterior=cholesky_posterior(np.zeros((1, 1, 1), dtype=complex)),
             hyper=HyperParams(rho=0.5, tau=1.0),
             noise=NoiseEstimate(case=NoiseCase.I, values=0.01),
             noise_floor=1e-12,
@@ -242,8 +251,8 @@ class TestRunningResidual:
         S = list(state.support.active_set)
         k = len(S)
         assert k >= 2
-        assert state.weight_covs.shape == (L, k, k)
-        assert (state.weight_eig is not None) == (case is not NoiseCase.IV)
+        assert dense_covs(state.weight_posterior).shape == (L, k, k)
+        assert isinstance(state.weight_posterior, EigenPosterior) == (case is not NoiseCase.IV)
         before = state.moments.copy()
         seen = []
 
@@ -270,7 +279,7 @@ class TestWeightSupportUpdate:
         for l in range(3):
             A = J[l][np.ix_(S, S)] + np.eye(len(S)) / state.hyper.tau
             C_ref = np.linalg.inv(A)
-            np.testing.assert_allclose(state.weight_covs[l], C_ref, atol=1e-10)
+            np.testing.assert_allclose(dense_covs(state.weight_posterior)[l], C_ref, atol=1e-10)
             np.testing.assert_allclose(state.weight_means[:, l], C_ref @ H[S, l], atol=1e-10)
 
     def test_score_never_decreases(self, rng):
@@ -285,7 +294,7 @@ class TestWeightSupportUpdate:
 
 
 class TestSeparableEigenbasis:
-    @pytest.mark.parametrize("case", [NoiseCase.I, NoiseCase.II, NoiseCase.III], ids=lambda c: c.value)
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
     def test_updates_match_the_dense_per_snapshot_formulas(self, rng, case):
         M, L = 8, 5
         for _ in range(5):
@@ -296,17 +305,28 @@ class TestSeparableEigenbasis:
             update_weights_support(state, Y)
             S = list(state.support.active_set)
             k = len(S)
-            assert k and state.weight_eig is not None
-            V, d = state.weight_eig
-            assert V.shape == (k, k) and d.shape == (L, k) and state.weight_covs.shape == (L, k, k)
-            C = np.array([V @ np.diag(d[l]) @ V.conj().T for l in range(L)])
+            post = state.weight_posterior
+            if case is NoiseCase.IV:
+                assert k and isinstance(post, CholeskyPosterior) and post.R.shape == (L, k, k)
+            else:
+                assert k and isinstance(post, EigenPosterior)
+                assert post.V.shape == (k, k) and post.d.shape == (L, k)
+            C = dense_covs(post)
+            assert C.shape == (L, k, k)
             J, H = compute_jh(state.moments, np.broadcast_to(state.noise.compact_grid(M, L), (M, L)), Y)
+            C_ref = np.array([np.linalg.inv(J[l][np.ix_(S, S)] + np.eye(k) / tau0) for l in range(L)])
             for l in range(L):
-                C_ref = np.linalg.inv(J[l][np.ix_(S, S)] + np.eye(k) / tau0)
-                np.testing.assert_allclose(C[l], C_ref, rtol=0, atol=1e-10 * np.abs(C_ref).max())
-                np.testing.assert_allclose(state.weight_means[:, l], C_ref @ H[S, l], rtol=0,
-                                           atol=1e-10 * np.abs(C_ref @ H[S, l]).max())
-            dense = dataclasses.replace(state, weight_covs=C, weight_eig=None)
+                np.testing.assert_allclose(C[l], C_ref[l], rtol=0, atol=1e-10 * np.abs(C_ref[l]).max())
+                np.testing.assert_allclose(state.weight_means[:, l], C_ref[l] @ H[S, l], rtol=0,
+                                           atol=1e-10 * np.abs(C_ref[l] @ H[S, l]).max())
+            # the two readings that nothing else compares with the dense inverses: Q and sum_l ln det C_l
+            W = np.broadcast_to(1.0 / state.noise.compact_grid(M, L), (M, L))
+            Q_ref = np.einsum("ml,lij->mij", W, C_ref)
+            Q = np.broadcast_to(_sweep_terms(state, Y)[3], (M, k, k))
+            np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-10 * np.abs(Q_ref).max())
+            lndet_ref = np.linalg.slogdet(C_ref)[1].sum()
+            assert abs(post.ln_det() - lndet_ref) <= 1e-10 * max(1.0, abs(lndet_ref))
+            dense = dataclasses.replace(state, weight_posterior=cholesky_posterior(C))
 
             def close(got, want):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -317,7 +337,6 @@ class TestSeparableEigenbasis:
             update_hyperparams(state)
             energy = np.sum(np.abs(state.weight_means) ** 2)
             close(state.hyper.tau, (energy + sum(np.trace(C[l]).real for l in range(L))) / (L * k))
-
 
     @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
     def test_only_per_cell_noise_runs_a_cholesky(self, monkeypatch, case):
@@ -345,14 +364,14 @@ class TestHyperUpdate:
         g = 1.7
         state = make_state(rng, active=(2,))
         state.weight_means = np.full((1, 2), g, dtype=complex)
-        state.weight_covs = np.zeros((2, 1, 1), dtype=complex)
+        state.weight_posterior = cholesky_posterior(np.zeros((2, 1, 1), dtype=complex))
         update_hyperparams(state)
         assert state.hyper.tau == pytest.approx(g**2, rel=1e-12)
 
     def test_matches_formula(self, rng):
         state = make_state(rng)
         energy = np.sum(np.abs(state.weight_means) ** 2)
-        trace = sum(np.trace(state.weight_covs[l]).real for l in range(2))
+        trace = sum(np.trace(dense_covs(state.weight_posterior)[l]).real for l in range(2))
         expected = (energy + trace) / (2 * 2)
         update_hyperparams(state)
         assert state.hyper.tau == pytest.approx(expected, rel=1e-12)
@@ -361,7 +380,7 @@ class TestHyperUpdate:
     def test_empty_support_keeps_tau(self, rng):
         state = make_state(rng, active=())
         state.weight_means = np.zeros((0, 2), dtype=complex)
-        state.weight_covs = np.zeros((2, 0, 0), dtype=complex)
+        state.weight_posterior = cholesky_posterior(np.zeros((2, 0, 0), dtype=complex))
         tau0 = state.hyper.tau
         update_hyperparams(state)
         assert state.hyper.tau == tau0
@@ -392,7 +411,7 @@ class TestNoiseUpdate:
             moments=a.reshape(-1, 1).copy(),
             support=SupportState.from_indices(1, (0,)),
             weight_means=x,
-            weight_covs=np.zeros((L, 1, 1), dtype=complex),
+            weight_posterior=cholesky_posterior(np.zeros((L, 1, 1), dtype=complex)),
             hyper=HyperParams(rho=0.5, tau=1.0),
             noise=NoiseEstimate(case=NoiseCase.IV, values=np.ones((M, L))),
             noise_floor=1e-10,
@@ -403,7 +422,7 @@ class TestNoiseUpdate:
     def test_empty_support_gives_sample_power(self, rng):
         state = make_state(rng, active=())
         state.weight_means = np.zeros((0, 2), dtype=complex)
-        state.weight_covs = np.zeros((2, 0, 0), dtype=complex)
+        state.weight_posterior = cholesky_posterior(np.zeros((2, 0, 0), dtype=complex))
         Y = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         cell = noise_cell_quantities(state, Y)
         np.testing.assert_array_equal(cell, np.abs(Y) ** 2)

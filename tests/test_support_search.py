@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_moments, random_variances, workspace_of
+from conftest import dense_covs, random_instance, random_moments, random_variances, workspace_of
 from gdoa.inference import NoiseCase, update_hyperparams, update_weights_support
 from gdoa.model import steering_matrix
 from gdoa.support_search import (
+    CholeskyPosterior,
+    EigenPosterior,
     NumericalError,
     ScaledGram,
     SupportState,
@@ -71,7 +73,7 @@ def assert_is_fresh(ws, inst):
     """The workspace holds exactly what a direct build at its support gives, in ascending order."""
     assert ws.order == sorted(ws.order)
     fresh = make_workspace(inst["J"], inst["H"], inst["rho"], inst["tau"], support=ws.order)
-    assert np.array_equal(ws.C, fresh.C) and np.array_equal(ws.x, fresh.x)
+    assert np.array_equal(dense_covs(ws.posterior), dense_covs(fresh.posterior)) and np.array_equal(ws.x, fresh.x)
 
 
 def support_vec(n, indices):
@@ -169,10 +171,11 @@ class TestStructuredJ:
                 assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
             k = int(rng.integers(0, 8))
             apply_flip(k, ws)
-            assert ws.C.shape == (4, len(ws.order), len(ws.order)) and ws.x.shape == (len(ws.order), 4)
+            C = dense_covs(ws.posterior)
+            assert C.shape == (4, len(ws.order), len(ws.order)) and ws.x.shape == (len(ws.order), 4)
             C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
             if ws.order:
-                assert np.abs(ws.C - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())
+                assert np.abs(C - C_ref).max() <= 1e-10 * max(1.0, np.abs(C_ref).max())
                 assert np.abs(ws.x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
@@ -180,10 +183,11 @@ class TestStructuredJ:
         inst = random_instance(rng, L=4, tied_axes=case.tied_axes)
         ws = workspace_of(inst, (5, 2))
         assert ws.order == [2, 5]
-        assert ws.C.shape == (4, 2, 2)
+        C = dense_covs(ws.posterior)
+        assert C.shape == (4, 2, 2)
         C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
-        for C_l, C_ref_l in zip(ws.C, C_ref):
-            assert np.array_equal(C_l, ws.C[0])
+        for C_l, C_ref_l in zip(C, C_ref):
+            assert np.array_equal(C_l, C[0])
             np.testing.assert_allclose(C_l, C_ref_l, atol=1e-10)
         np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
 
@@ -204,7 +208,7 @@ class TestStructuredJ:
             energy += np.sum(np.abs(C_l @ H[S, l]) ** 2)
             trace += np.trace(C_l).real
         update_hyperparams(state)
-        assert state.weight_covs.shape == (L, len(S), len(S))
+        assert dense_covs(state.weight_posterior).shape == (L, len(S), len(S))
         assert state.hyper.tau == pytest.approx((energy + trace) / (L * len(S)), rel=1e-10)
 
 
@@ -228,14 +232,17 @@ class TestFactor:
             ws = workspace_of(inst, rng.choice(8, size=1 + trial % 5, replace=False).tolist())
             k = len(ws.order)
             if tied_axes:  # separable noise: one unitary eigenbasis, positive per-snapshot eigenvalues
-                assert ws.R is None and ws.d.shape == (4, k) and np.all(ws.d > 0)
-                assert np.abs(np.conj(ws.V.T) @ ws.V - np.eye(k)).max() <= 1e-14 * k
+                post = ws.posterior
+                assert isinstance(post, EigenPosterior) and post.d.shape == (4, k) and np.all(post.d > 0)
+                assert np.abs(np.conj(post.V.T) @ post.V - np.eye(k)).max() <= 1e-14 * k
             else:
-                assert ws.V is None and ws.R.shape == (4, k, k)
-                assert np.abs(np.triu(ws.R, 1)).max() <= 1e-14 * np.abs(ws.R).max()
+                R = ws.posterior.R
+                assert isinstance(ws.posterior, CholeskyPosterior) and R.shape == (4, k, k)
+                assert np.abs(np.triu(R, 1)).max() <= 1e-14 * np.abs(R).max()
             C_ref, _ = dense_posteriors(inst, ws.order, inst["tau"])
-            assert ws.C.shape == (4, k, k)
-            assert np.abs(ws.C - C_ref).max() <= 1e-10 * np.abs(C_ref).max()
+            C = dense_covs(ws.posterior)
+            assert C.shape == (4, k, k)
+            assert np.abs(C - C_ref).max() <= 1e-10 * np.abs(C_ref).max()
 
     def test_indefinite_system_rejected(self, rng):
         inst = random_instance(rng)
@@ -273,13 +280,14 @@ class TestSeparableEigenbasis:
             ws = workspace_of(inst, rng.choice(8, size=trial % 5, replace=False).tolist())
             for _ in range(4):
                 ref = make_workspace(dense, inst["H"], inst["rho"], inst["tau"], support=ws.order)
-                assert ws.V is not None and ws.R is None and ref.R is not None
+                assert isinstance(ws.posterior, EigenPosterior) and isinstance(ref.posterior, CholeskyPosterior)
                 assert abs(ws.ln_z - ref.ln_z) <= 1e-10 * max(1.0, abs(ref.ln_z))
                 got, want = _sweep_deltas(ws), _sweep_deltas(ref)
                 assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
-                assert ws.C.shape == ref.C.shape == (5, len(ws.order), len(ws.order))
+                C, C_ref = dense_covs(ws.posterior), dense_covs(ref.posterior)
+                assert C.shape == C_ref.shape == (5, len(ws.order), len(ws.order))
                 if ws.order:
-                    assert rel_gap(ws.x, ref.x) <= 1e-10 and rel_gap(ws.C, ref.C) <= 1e-10
+                    assert rel_gap(ws.x, ref.x) <= 1e-10 and rel_gap(C, C_ref) <= 1e-10
                 apply_flip(int(rng.integers(0, 8)), ws)
 
     @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
@@ -346,7 +354,7 @@ class TestDeltas:
         apply_flip(3, ws)
         tr = (1.0 / inst["nu"]).sum(axis=0)
         v_expected = 1.0 / (tr + 1.0 / inst["tau"])
-        np.testing.assert_allclose(ws.C[:, 0, 0], v_expected, rtol=1e-13)
+        np.testing.assert_allclose(dense_covs(ws.posterior)[:, 0, 0], v_expected, rtol=1e-13)
         np.testing.assert_allclose(ws.x[0], v_expected * inst["H"][3, :], rtol=1e-13)
 
     def test_singleton_flip_symmetry(self, rng):
@@ -367,10 +375,10 @@ class TestApplyFlip:
     def test_activate_then_deactivate_restores(self, rng):
         inst = random_instance(rng)
         ws = workspace_of(inst, (1, 5))
-        C0, x0 = ws.C.copy(), ws.x.copy()
+        C0, x0 = dense_covs(ws.posterior).copy(), ws.x.copy()
         apply_flip(3, ws)
         apply_flip(3, ws)
-        np.testing.assert_allclose(ws.C, C0, atol=1e-10)
+        np.testing.assert_allclose(dense_covs(ws.posterior), C0, atol=1e-10)
         np.testing.assert_allclose(ws.x, x0, atol=1e-10)
 
     def test_post_flip_matches_dense(self, rng):
@@ -381,7 +389,7 @@ class TestApplyFlip:
             ws = workspace_of(inst, support)
             apply_flip(int(rng.integers(0, 8)), ws)
             C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
-            np.testing.assert_allclose(ws.C, C_ref, atol=1e-10)
+            np.testing.assert_allclose(dense_covs(ws.posterior), C_ref, atol=1e-10)
             np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
 
     def test_hermitian_preserved_over_many_flips(self, rng):
@@ -389,7 +397,8 @@ class TestApplyFlip:
         ws = workspace_of(inst)
         for t in range(120):
             apply_flip(int(rng.integers(0, 8)), ws)
-            herm_gap = np.abs(ws.C - np.conj(np.swapaxes(ws.C, 1, 2))).max() if ws.order else 0.0
+            C = dense_covs(ws.posterior)
+            herm_gap = np.abs(C - np.conj(np.swapaxes(C, 1, 2))).max() if ws.order else 0.0
             assert herm_gap <= 1e-12
 
     def test_flips_match_fresh_workspace_bitwise(self, rng):
@@ -460,7 +469,7 @@ class TestWorkspace:
         assert ws.order == [1, 3, 5]
         C_ref, x_ref = dense_posteriors(inst, ws.order, inst["tau"])
         np.testing.assert_allclose(ws.x, x_ref, atol=1e-10)
-        np.testing.assert_allclose(ws.C, C_ref, atol=1e-10)
+        np.testing.assert_allclose(dense_covs(ws.posterior), C_ref, atol=1e-10)
 
     def test_invalid_hyper_rejected(self, rng):
         inst = random_instance(rng)
