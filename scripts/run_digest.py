@@ -4,6 +4,7 @@
 Run it on two versions of the package and compare the outputs:
 
     PYTHONPATH=src python3 scripts/run_digest.py > after.txt
+    PYTHONPATH=src python3 scripts/run_digest.py before.txt after.txt
 
 Each line gives the variant, the scene (noise case, M, L, SNR, seed), ``k_hat``,
 the iteration count, ``converged``, the sha256 of the bytes of the posterior
@@ -15,8 +16,10 @@ A change meant to leave every estimate bit for bit as it was prints the same
 output before and after it, so ``diff`` of the two outputs is the evidence.  A
 change that may move the last bits passes when, on every line, ``k_hat``, the
 iteration count and ``converged`` are equal and every omega stays within
-1e-8 rad, the tolerance of ``tests/test_pinned_results.py``.  The run set is
-76 runs:
+1e-8 rad, the tolerance of ``tests/test_pinned_results.py``.  Given two such
+outputs, the script applies that rule: it prints how many lines are
+byte-identical and the largest omega move per variant, names each line that
+fails, and exits 1 if any does.  The run set is 76 runs:
 
 * M=20, L=10, K=3 at omega = (-0.1, 0.5, 2.1), Cases II and IV, 0/5/10/15 dB,
   seeds 9100-9101, all four variants (64 runs);
@@ -32,7 +35,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import ast
 import hashlib
+import math
+import re
 import sys
 
 import numpy as np
@@ -45,6 +51,9 @@ SMALL = dict(M=20, L=10, omegas=(-0.1, 0.5, 2.1), cases=(NoiseCase.II, NoiseCase
 WIDE = dict(M=64, L=100, omegas=(-1.9, -0.8, 0.3, 0.4, 1.2, 2.5), cases=(NoiseCase.II, NoiseCase.III),
             snrs=(0.0,), seeds=(9200, 9201), variants=("MVALSE", "MVHN-S", "MVHN-A"))
 DELTA_NU_DB = 15.0
+OMEGA_TOL = 1e-8
+LINE = re.compile(r"(?P<run>.*?) k_hat=(?P<k_hat>\S+) iterations=(?P<iterations>\S+) "
+                  r"converged=(?P<converged>\S+) sha256=\S+ omegas=(?P<omegas>.*)")
 
 
 def digest(result) -> str:
@@ -70,7 +79,54 @@ def run_set(spec):
                            f"omegas={[float(w) for w in result.omegas]!r}")
 
 
-def main() -> int:
+def parse(lines) -> dict:
+    """Map each run (variant and scene) to its line and its parsed fields."""
+    runs = {}
+    for line in lines:
+        line = line.rstrip("\n")
+        match = LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"not a digest line: {line!r}")
+        runs[match["run"]] = (line, match)
+    return runs
+
+
+def compare(before, after) -> tuple[list[str], list[str]]:
+    """Report lines and failure lines for two digest outputs, under the rule in the module docstring."""
+    old, new = parse(before), parse(after)
+    failures = [f"FAIL {run}: missing after" for run in old if run not in new]
+    failures += [f"FAIL {run}: not in before" for run in new if run not in old]
+    identical, moves = 0, {}
+    for run, (line, a) in old.items():
+        if run not in new:
+            continue
+        b = new[run][1]
+        identical += line == new[run][0]
+        changed = [f"{key} {a[key]} -> {b[key]}" for key in ("k_hat", "iterations", "converged") if a[key] != b[key]]
+        if changed:
+            failures.append(f"FAIL {run}: " + ", ".join(changed))
+            continue
+        # wrapped to [-pi, pi): a mean direction near the seam may change sign
+        move = max((abs(math.remainder(x - y, 2.0 * math.pi)) for x, y in
+                    zip(ast.literal_eval(a["omegas"]), ast.literal_eval(b["omegas"]))), default=0.0)
+        variant = run.split()[0]
+        moves[variant] = max(moves.get(variant, 0.0), move)
+        if not move <= OMEGA_TOL:
+            failures.append(f"FAIL {run}: omega moved by {move:.3g} rad")
+    report = [f"{identical}/{len(old)} lines byte-identical"]
+    report += [f"{variant}: largest omega move {move:.3g} rad" for variant, move in moves.items()]
+    return report, failures
+
+
+def main(argv) -> int:
+    if len(argv) == 2:
+        with open(argv[0]) as before, open(argv[1]) as after:
+            report, failures = compare(before, after)
+        print("\n".join(report + failures))
+        return 1 if failures else 0
+    if argv:
+        print("usage: run_digest.py [BEFORE AFTER]", file=sys.stderr)
+        return 2
     for spec in (SMALL, WIDE):
         for line in run_set(spec):
             print(line, flush=True)
@@ -78,4 +134,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -10,8 +10,10 @@ gets the ratios from a continued fraction and a recurrence, with numpy alone.
     f(omega) = Re{ eta^H a(omega) },
 
 a cosine series with complex coefficients ``eta`` (one per antenna).  The mode
-is located by an FFT grid scan followed by Newton refinement, and the
-concentration is the negative curvature at the mode (Laplace matching).
+is located by a grid scan, one real inverse FFT of ``conj(eta)`` (the series
+is real, so half a complex spectrum gives the whole grid), followed by Newton
+refinement, and the concentration is the negative curvature at the mode
+(Laplace matching).
 Each Newton evaluation is one ``exp`` and one product with the (3, M) series
 basis ``[c, i*m*c, -m^2*c]`` (``c = conj(eta)``), built once per fit.  What
 depends on the length M alone (the orders, the derivative weights, the grid
@@ -163,10 +165,13 @@ def _series_eval(basis: np.ndarray, phase: np.ndarray, omega: float) -> list[flo
 def approximate_posterior(eta: np.ndarray) -> VonMises:
     """Fit a von Mises to ``q(omega) ∝ exp(Re{eta^H a(omega)})`` (uniform prior).
 
-    The mode is found by scanning a zero-padded FFT grid of size
-    ``next_pow2(16*M)`` and polishing with Newton steps on the analytic
-    derivatives; the concentration is ``max(0, -f''(mu))``.  With no harmonic
-    content the result is the degenerate ``VonMises(0, 0)``.
+    The mode is found by scanning a grid of size ``G = next_pow2(16*M)`` and
+    polishing with Newton steps on the analytic derivatives; the concentration
+    is ``max(0, -f''(mu))``.  With no harmonic content the result is the
+    degenerate ``VonMises(0, 0)``.  The scan is one real inverse FFT,
+    ``irfft(conj(eta), n=G)`` unscaled, whose entry g is
+    ``2 f(2 pi g/G) - Re eta_0``: the same grid maximum as f itself, bar exact
+    ties between grid points.
     """
     eta = np.asarray(eta, dtype=np.complex128).ravel()
     M = len(eta)
@@ -185,7 +190,7 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
         return VonMises(0.0, 0.0)
 
     basis = _series_basis(np.conj(eta), plan.derivs)
-    grid = np.fft.ifft(basis[0], n=plan.G, norm="forward").real  # unscaled: sum_m conj(eta_m) e^{i m w_g}
+    grid = np.fft.irfft(basis[0], n=plan.G, norm="forward")  # unscaled: 2 Re sum_m conj(eta_m) e^{i m w_g} - Re eta_0
     omega = plan.grid_step * int(grid.argmax())
 
     max_step = plan.grid_step

@@ -12,10 +12,13 @@ quantity is averaged:
 * Case III (``MVHN-A``): mean over snapshots, one value per antenna,
 * Case IV  (``MVHN``):   no averaging.
 
-The frequency sweep keeps one inverse-variance weighted residual
-``(Y - A_S X) ⊙ W`` and refreshes it by a rank-one term after each
-component's new moment, so every component sees its predecessors' refreshed
-moments at O(ML) cost.
+The frequency sweep takes VALSE's coefficient in closed form (Badiu, Hansen
+& Fleury 2017, summed over snapshots as in MVALSE):
+``eta_p = 2 (B_p - sum_{q != p} a_q ⊙ U_qp)`` with ``B = (Y ⊙ W) X^H`` and the
+coupling ``U_qp = sum_l W_l (x_ql conj(x_pl) + C_l[q, p])``.  Both are built
+once per sweep from the weight posterior, which does not change inside it,
+so each component reads the moments as they stand, its predecessors'
+already refreshed, at O(Mk) cost and with no (M, L) pass of its own.
 
 Runs are strictly single-threaded and deterministic: given the same inputs,
 two invocations produce bitwise-identical results.
@@ -194,25 +197,23 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
 def _sweep_terms(state: InferenceState, Y: np.ndarray):
     """What every active component's coefficient shares within one frequency sweep.
 
-    With ``W = 1/compact_grid``: the weighted residual ``RW = (Y - A_S X) ⊙ W``
-    (M, L), ``Q = Σ_l W[:, l] C_l`` (M|1, k, k), and ``D = P + diag Q`` (M|1, k)
-    with ``P[:, p] = Σ_l W[:, l] |X[p, l]|²``.  The weight posterior does not
-    change inside a sweep; only RW follows the refreshed moments.
+    With ``W = 1/compact_grid`` and X the (k, L) weight means: ``B = (Y ⊙ W) X^H``
+    (M, k), and the coupling ``U[:, q, p] = Σ_l W[:, l] (X[q, l] conj(X[p, l]) + C_l[q, p])``
+    (M|1, k, k) with its diagonal set to zero.  The outer-product part is one
+    (M|1, L) @ (L, k²) product in every noise case, and the ``C_l`` part is the
+    weight posterior's ``weighted_sum``.  Neither depends on the moments.
     """
     M, L = Y.shape
-    A_S = state.moments[:, list(state.support.active_set)]
     X = state.weight_means
+    k = len(X)
     W = 1.0 / state.noise.compact_grid(M, L)                  # (M|1, L|1)
-    RW = (Y - A_S @ X) * W
+    B = (Y * W) @ np.conj(X.T)
     W_l = np.broadcast_to(W, (W.shape[0], L))
-    P = W_l @ (np.abs(X) ** 2).T                               # (M|1, k)
-    Q = state.weight_posterior.weighted_sum(W_l)
-    return W, RW, P + np.diagonal(Q, axis1=1, axis2=2), Q
-
-
-def _eta(RW, D, Q, A_S, X_conj, p) -> np.ndarray:
-    """Coefficient of active component p from one sweep's terms, the current moments A_S and ``conj(X)``."""
-    return 2.0 * (RW @ X_conj[p] + A_S[:, p] * D[:, p] - (A_S * Q[:, :, p]).sum(axis=1))
+    outer = (X.T[:, :, None] * np.conj(X.T)[:, None, :]).reshape(L, k * k)   # [l, q*k + p] = X[q, l] conj(X[p, l])
+    U = (W_l @ outer).reshape(-1, k, k) + state.weight_posterior.weighted_sum(W_l)
+    idx = np.arange(k)
+    U[:, idx, idx] = 0.0
+    return B, U
 
 
 def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
@@ -220,21 +221,19 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
 
     Components are visited in ascending index order and each update sees the
     already-refreshed moments of its predecessors; inactive components keep
-    their last belief.  One weighted residual serves the sweep: after each
-    refresh it takes the rank-one change ``(a_new - a_old) x_p^T ⊙ W``.
+    their last belief.  Component p's coefficient is
+    ``eta_p = 2 (B[:, p] - Σ_q A_S[:, q] ⊙ U[:, q, p])`` from the sweep's terms
+    (:func:`_sweep_terms`) and the current moments A_S.
     """
     S = list(state.support.active_set)
     if not S:
         return state
     M = Y.shape[0]
-    W, RW, D, Q = _sweep_terms(state, Y)
+    B, U = _sweep_terms(state, Y)
     A_S = state.moments[:, S]
-    X = state.weight_means
-    X_conj = np.conj(X)
     for p, i in enumerate(S):
-        vm = approximate_posterior(_eta(RW, D, Q, A_S, X_conj, p))
+        vm = approximate_posterior(2.0 * (B[:, p] - (A_S * U[:, :, p]).sum(axis=1)))
         a_new = moment_vector(vm, M)
-        RW -= (a_new - A_S[:, p])[:, None] * X[p] * W
         A_S[:, p] = a_new
         state.posteriors[i] = vm
         state.moments[:, i] = a_new

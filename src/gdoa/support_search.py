@@ -47,9 +47,8 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupportState:
-    """Binary activation vector and its sorted active index set."""
+    """Sorted active index set of one support."""
 
-    s: np.ndarray
     active_set: tuple[int, ...]
 
     @classmethod
@@ -59,9 +58,7 @@ class SupportState:
             raise ValueError("duplicate support indices")
         if idx and not (0 <= idx[0] and idx[-1] < n):
             raise ValueError(f"support indices {idx} out of range for n={n}")
-        s = np.zeros(n, dtype=bool)
-        s[list(idx)] = True
-        return cls(s=s, active_set=idx)
+        return cls(active_set=idx)
 
     @property
     def size(self) -> int:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,12 +188,14 @@ def run_sweep(config: SweepConfig, master_seed: int | None = None, workers: int 
     master = config.base.seed if master_seed is None else int(master_seed)
     jobs = [(config, vi, t, master) for vi in range(len(config.values)) for t in range(config.trials)]
 
-    records = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # both maps yield in job order, which is the (value, trial) aggregation order
-        trials = pool.map(_trial_job, jobs, chunksize=4) if pool else map(_trial_job, jobs)
-        for recs in trials:
-            records.extend(recs)
+    # both maps yield in job order, which is the (value, trial) aggregation order
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that `import gdoa` loads no multiprocessing
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = [rec for recs in pool.map(_trial_job, jobs, chunksize=4) for rec in recs]
+    else:
+        records = [rec for recs in map(_trial_job, jobs) for rec in recs]
 
     rows = []
     for algo in config.algorithms:

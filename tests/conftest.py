@@ -51,6 +51,13 @@ def workspace_of(inst, support=()):
     return make_workspace(inst["J"], inst["H"], inst["rho"], inst["tau"], support=support)
 
 
+def support_vec(n, indices):
+    """The length-n boolean activation vector of an index set."""
+    s = np.zeros(n, dtype=bool)
+    s[list(indices)] = True
+    return s
+
+
 def dense_covs(posterior):
     """The (L, k, k) stack of the C_l that a weight posterior of either form stands for."""
     if isinstance(posterior, EigenPosterior):

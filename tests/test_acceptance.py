@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
 
-from conftest import dense_covs, random_instance, workspace_of
+from conftest import dense_covs, random_instance, support_vec, workspace_of
 from gdoa.baselines import AngularGrid, cbf_spectrum
 from gdoa.circular import VonMises, moment_vector
 from gdoa.crb import CrbParameterization, fim, signal_partials
@@ -27,12 +27,6 @@ VC_BASE = dict(M=20, L=10, K=3, true_omegas=(-0.1, 0.5, 2.1), delta_nu_db=15.0)
 
 def report(n, name):
     print(f"\nACCEPTANCE {n} {name}: PASS")
-
-
-def support_vec(n, indices):
-    s = np.zeros(n, dtype=bool)
-    s[list(indices)] = True
-    return s
 
 
 def dense_posteriors(inst, order, tau):
@@ -85,7 +79,7 @@ def test_criterion_2_brute_force_support_search():
                                snr_db=float(rng.uniform(0, 20)), rho=0.15)
         ws = workspace_of(inst)
         support, ws = greedy_search(ws)
-        greedy_score = ln_z(support.s, ws)
+        greedy_score = ln_z(support_vec(N, support.active_set), ws)
 
         best = 0.0
         for size in range(N + 1):
@@ -96,7 +90,7 @@ def test_criterion_2_brute_force_support_search():
             hits += 1
 
         for k in range(N):  # local optimality, exactly
-            flipped = support.s.copy()
+            flipped = support_vec(N, support.active_set)
             flipped[k] = ~flipped[k]
             assert ln_z(flipped, ws) - greedy_score <= 1e-9
     assert hits >= 90

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
+import circular_reference
 import gdoa
 from gdoa.circular import (
     VonMises,
@@ -259,6 +260,30 @@ class TestApproximatePosterior:
             for g, w, p in zip(got, want, range(3)):
                 # relative to the sum of term magnitudes: the sums may cancel
                 assert g == pytest.approx(w, rel=1e-12, abs=1e-12 * (orders ** p * np.abs(eta_conj)).sum())
+
+
+def test_tones_halfway_between_grid_points_fit_as_the_reference():
+    """An exact tie between two grid points is where the real-FFT scan may pick the other one.
+
+    The fit still lands on the same mode: within 1e-9 rad in mu and 1e-12
+    relative in kappa of the complex-FFT reference.
+    """
+    rng = np.random.default_rng(18)
+    probes = other_point = 0
+    for M in (2, 3, 16, 17, 20, 64, 129):
+        G = _plan(M).G
+        m = np.arange(M)
+        for amplitude in np.logspace(-3, 4, 8):
+            for g in rng.integers(0, G, size=22):
+                eta = amplitude * np.exp(1j * m * (2.0 * np.pi * (g + 0.5) / G))
+                got, want = approximate_posterior(eta), circular_reference.approximate_posterior(eta)
+                assert abs(wrap_angle(got.mu - want.mu)) <= 1e-9, (M, amplitude, g)
+                assert abs(got.kappa - want.kappa) <= 1e-12 * want.kappa, (M, amplitude, g)
+                c = np.conj(eta)
+                real_scan = np.fft.irfft(c, n=G, norm="forward").argmax()
+                other_point += real_scan != np.fft.ifft(c, n=G, norm="forward").real.argmax()
+                probes += 1
+    assert probes == 1232 and other_point > 0  # the case does reach ties that the two scans break apart
 
 
 class TestVonMisesType:

@@ -1,7 +1,7 @@
 """The von Mises fit, the Bessel table and the moments are bitwise those of the reference copy.
 
 ``circular_reference`` holds the uncached, numpy-scalar form of the same
-functions.  Every comparison here is on bytes: the same grid, the same
+functions.  Every comparison here is on bytes: the same grid maximum, the same
 Newton steps and the same concentration, not merely close values.
 """
 
