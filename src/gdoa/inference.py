@@ -32,7 +32,7 @@ import numpy as np
 
 from .circular import VonMises, _next_pow2, approximate_posterior, moment_vector
 from .model import NoiseCase, SnapshotMatrix
-from .support_search import CholeskyPosterior, EigenPosterior, SupportState, compute_jh, greedy_search, make_workspace
+from .support_search import EigenPosterior, SupportState, compute_jh, greedy_search, make_workspace
 
 ALGORITHM_CASES = {
     "MVALSE": NoiseCase.I,
@@ -102,7 +102,7 @@ class InferenceState:
     moments: np.ndarray            # (M, N) expected steering vectors
     support: SupportState
     weight_means: np.ndarray       # (k, L), rows in ascending support order
-    weight_posterior: EigenPosterior | CholeskyPosterior  # the C_l, same ordering, as the search factored them
+    weight_posterior: EigenPosterior  # the C_l, same ordering, as the search factored them
     hyper: HyperParams
     noise: NoiseEstimate
     noise_floor: float
@@ -187,7 +187,7 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         moments=moments,
         support=SupportState.from_indices(N, ()),
         weight_means=np.zeros((0, L), dtype=np.complex128),
-        weight_posterior=EigenPosterior(V=np.zeros((0, 0), dtype=np.complex128), d=np.zeros((L, 0))),
+        weight_posterior=EigenPosterior(V=np.zeros((1, 0, 0), dtype=np.complex128), d=np.zeros((L, 0))),
         hyper=hyper,
         noise=noise,
         noise_floor=floor,

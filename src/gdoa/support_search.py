@@ -8,31 +8,23 @@ The score of a binary activation vector s with active set S is
 with ``A_l = [J_l]_S + I/tau``.  The greedy search flips one bit at a time,
 always the one with the largest score gain.
 
-``A_l`` is factored once per support, and everything else reads that one
-factorisation: the weight posterior ``C_l = A_l^{-1}``, ``x_l = C_l H_{S,l}``,
-the evidence score and the gains of all N candidate flips, in a single
-batched pass.  The factorisation follows the noise structure:
+Every noise case gives ``J_l = w_l G_p``: P Grams, each shared by a block of
+L/P snapshots (:class:`ScaledGram`).  Separable noise (Cases I-III,
+``nu[m, l] = alpha_m beta_l``) needs one Gram, P = 1; per-cell noise (Case IV)
+needs one per snapshot, P = L with ``w = 1``.  So ``A_l`` is factored the same
+way in every case, once per support: one batched ``eigh`` of the P blocks
+``[G_p]_S = V_p diag(lambda_p) V_p^H`` diagonalises every ``A_l`` of block p,
+``C_l = A_l^{-1} = V_p diag(d_l) V_p^H`` with ``d_{l,j} = 1/(w_l lambda_{p,j} + 1/tau)``.
 
-* Separable noise (Cases I-III, ``nu[m, l] = alpha_m beta_l``) gives
-  ``J_l = w_l G`` for one Gram G, so one ``eigh`` of
-  ``G_S = V diag(lambda) V^H`` diagonalises every ``A_l``:
-  ``C_l = V diag(d_l) V^H`` with ``d_{l,j} = 1/(lambda_j w_l + 1/tau)``.
-  The posterior is an :class:`EigenPosterior` of the (k, k) basis V and
-  the (L, k) eigenvalues d, and no per-snapshot matrix.
-* Per-cell noise (Case IV) needs one Gram per snapshot, an (L, N, N) stack,
-  and one batched Cholesky.  The posterior is a :class:`CholeskyPosterior`
-  of the inverse factor ``R_l = chol(A_l)^{-1}`` (lower triangular,
-  (L, k, k)), so ``C_l = R_l^H R_l`` and ``ln det C_l = 2 sum ln diag R_l``.
-
-Both forms give the same readings of the C_l, so the score here and the
-estimator's updates never ask which form they hold.  The per-snapshot
-weights x and linear terms H always carry L columns.
+Everything else reads that one factorisation, an :class:`EigenPosterior`:
+the weight posterior C_l, ``x_l = C_l H_{S,l}``, the evidence score and the
+gains of all N candidate flips, in a single batched pass over the P blocks.
+The per-snapshot weights x and linear terms H always carry L columns.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,72 +57,67 @@ class SupportState:
         return len(self.active_set)
 
 
+def _blocks(X: np.ndarray, P: int) -> np.ndarray:
+    """An (n, L) array as P blocks of the snapshots that share a basis: the (P, n, L/P) view."""
+    n, L = X.shape
+    return X.reshape(n, P, L // P).transpose(1, 0, 2)
+
+
+def _unblock(X: np.ndarray) -> np.ndarray:
+    """The (n, L) array of P blocks (P, n, L/P): the inverse of :func:`_blocks`."""
+    P, n, B = X.shape
+    return X.transpose(1, 0, 2).reshape(n, P * B)
+
+
 @dataclass(frozen=True)
 class ScaledGram:
-    """Quadratic forms ``J_l = w_l G`` of separable noise (Cases I-III)."""
+    """Quadratic forms ``J_l = w_l G_p``, snapshot l in block ``p = l // (L/P)``.
 
-    G: np.ndarray            # (N, N) Hermitian Gram A^H diag(g) A, diagonal pinned to sum(g)
+    P = 1 for a variance grid tied over antennas or snapshots (Cases I-III),
+    P = L with ``w = 1`` for the per-cell grid (Case IV).
+    """
+
+    G: np.ndarray            # (P, N, N) Hermitian Grams A^H diag(g_p) A, diagonals pinned to sum(g_p)
     w: np.ndarray            # (L,) per-snapshot weights
 
 
 @dataclass(frozen=True)
 class EigenPosterior:
-    """Weight posterior ``C_l = V diag(d_l) V^H`` of separable noise (Cases I-III).
+    """Weight posterior ``C_l = V_p diag(d_l) V_p^H``, snapshot l in block p of the P blocks.
 
-    Its readings, shared with :class:`CholeskyPosterior`: ``diag()`` the (L, k)
-    diagonals of the C_l; ``weighted_sum(W)`` ``Q = sum_l W[:, l] C_l``
-    (M|1, k, k) for an (M|1, L) grid W; ``trace()`` ``sum_l tr C_l``;
-    ``cell_variance(A)`` the (M, L) grid ``a_m C_l a_m^H`` over the rows a_m
-    of A (M, k); ``ln_det()`` ``sum_l ln det C_l``.
+    Its readings: ``diag()`` the (L, k) diagonals of the C_l;
+    ``weighted_sum(W)`` ``Q = sum_l W[:, l] C_l`` (M|1, k, k) for an (M|1, L)
+    grid W; ``trace()`` ``sum_l tr C_l``; ``cell_variance(A)`` the (M, L) grid
+    ``a_m C_l a_m^H`` over the rows a_m of A (M, k); ``ln_det()``
+    ``sum_l ln det C_l``.  Each works on the blocks of :func:`_blocks`, so
+    P = 1 runs one product over all L snapshots.
     """
 
-    V: np.ndarray            # (k, k) unitary eigenbasis of G_S
+    V: np.ndarray            # (P, k, k) unitary eigenbases of the [G_p]_S
     d: np.ndarray            # (L, k) eigenvalues of the C_l
 
     def diag(self) -> np.ndarray:
-        return (np.abs(self.V) ** 2 @ self.d.T).T
+        return _unblock(np.abs(self.V) ** 2 @ _blocks(self.d.T, len(self.V))).T
 
     def weighted_sum(self, W: np.ndarray) -> np.ndarray:
-        # row m is V diag((W d)_m) V^H: one product with the outer products v_p v_p^H of V's columns
-        k = len(self.V)
-        outer = (self.V.T[:, :, None] * np.conj(self.V.T)[:, None, :]).reshape(k, k * k)
-        return ((W @ self.d) @ outer).reshape(-1, k, k)
+        P, k = self.V.shape[:2]
+        if P == 1:
+            # row m is V diag((W d)_m) V^H: one product with the outer products v_j v_j^H of V's columns
+            Vt = self.V[0].T
+            outer = (Vt[:, :, None] * np.conj(Vt)[:, None, :]).reshape(k, k * k)
+            return ((W @ self.d) @ outer).reshape(-1, k, k)
+        # P = L: W times the vectorised C_l, far cheaper than the other order's L products (M, k) @ (k, k^2)
+        C = (self.V * self.d[:, None, :]) @ np.conj(self.V.swapaxes(1, 2))
+        return (W @ C.reshape(P, k * k)).reshape(-1, k, k)
 
     def trace(self) -> float:
         return float(self.d.sum())
 
     def cell_variance(self, A: np.ndarray) -> np.ndarray:
-        return np.abs(A @ self.V) ** 2 @ self.d.T
+        return _unblock(np.abs(A @ self.V) ** 2 @ _blocks(self.d.T, len(self.V)))
 
     def ln_det(self) -> float:
         return float(np.log(self.d).sum())
-
-
-@dataclass(frozen=True)
-class CholeskyPosterior:
-    """Weight posterior ``C_l = R_l^H R_l`` of per-cell noise (Case IV), R_l triangular with a positive diagonal."""
-
-    R: np.ndarray            # (L, k, k)
-
-    @functools.cached_property
-    def C(self) -> np.ndarray:  # the (L, k, k) stack, built by the first reading that needs it
-        return np.conj(np.swapaxes(self.R, 1, 2)) @ self.R
-
-    def diag(self) -> np.ndarray:
-        return (np.abs(self.R) ** 2).sum(axis=1)             # the column norms of R
-
-    def weighted_sum(self, W: np.ndarray) -> np.ndarray:
-        L, k = self.R.shape[:2]
-        return (W @ self.C.reshape(L, k * k)).reshape(-1, k, k)
-
-    def trace(self) -> float:
-        return float(np.einsum("lkk->", self.C).real)
-
-    def cell_variance(self, A: np.ndarray) -> np.ndarray:
-        return ((A[None, :, :] @ self.C) * np.conj(A)[None, :, :]).sum(axis=2).real.T
-
-    def ln_det(self) -> float:
-        return 2.0 * float(np.log(np.einsum("lkk->lk", self.R).real).sum())
 
 
 @dataclass
@@ -139,18 +126,17 @@ class SearchWorkspace:
 
     ``order`` lists the active indices in ascending order; the posterior and
     ``x`` are indexed accordingly.  Invariants, restored by ``_refresh`` after
-    every flip: ``posterior`` holds C_l = ([J_l]_order + I/tau)^{-1}, as an
-    :class:`EigenPosterior` of G[order][:, order] when ``J`` is a
-    :class:`ScaledGram` and as a :class:`CholeskyPosterior` when ``J`` is the
-    (L, N, N) stack of per-cell noise, and x[:, l] = C_l @ H[order, l].
+    every flip: ``posterior`` holds C_l = ([J_l]_order + I/tau)^{-1} in the
+    eigenbases of the blocks ``G_p[order][:, order]``, and
+    x[:, l] = C_l @ H[order, l].
     """
 
-    J: np.ndarray | ScaledGram   # (L, N, N) Hermitian, diagonal = tr(Sigma_l^{-1}); or one scaled Gram
+    J: ScaledGram
     H: np.ndarray            # (N, L)
     rho: float
     tau: float
     order: list[int] = field(default_factory=list)
-    posterior: EigenPosterior | CholeskyPosterior = None
+    posterior: EigenPosterior = None
     x: np.ndarray = None     # (k, L)
     flips: int = 0
 
@@ -173,21 +159,20 @@ class SearchWorkspace:
         return k * self.log_odds() + self.posterior.ln_det() - self.L * k * math.log(self.tau) + quad
 
 
-def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
-    """Quadratic-form matrices J and linear terms H (N, L).
+def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray) -> tuple[ScaledGram, np.ndarray]:
+    """Quadratic-form matrices J, as a :class:`ScaledGram`, and linear terms H (N, L).
 
     ``[J_l]_{ij} = a_i^H Sigma_l^{-1} a_j`` off the diagonal with the diagonal
     pinned to ``tr(Sigma_l^{-1})`` (unit-modulus array elements), and
     ``H[:, l] = A^H Sigma_l^{-1} y_l``.
 
     ``variances`` is the (M, L) variance grid or that grid with its tied axes
-    kept at length 1: (1, 1), (1, L) or (M, 1).  Separable noise gives
-    ``J_l = w_l G`` for one Gram, returned as a :class:`ScaledGram` so the
-    search works in G's eigenbasis: tied over antennas (Cases I, II),
-    ``G = A^H A`` with diagonal M and ``w = 1/s``; tied over snapshots
-    (Case III), ``G = A^H diag(1/nu) A`` with diagonal ``sum(1/nu)`` and
-    ``w = 1``.  Only the per-cell grid (Case IV) builds the (L, N, N) stack
-    of ``A^H diag(1/nu_l) A``.
+    kept at length 1: (1, 1), (1, L) or (M, 1).  With W = 1/variances,
+    ``J_l = w_l A^H diag(g_p) A`` for the columns g_p of g: tied over antennas
+    (Cases I, II), ``g = 1`` and ``w = W[0]``, so one Gram ``A^H A`` with
+    diagonal M; otherwise ``g = W`` and ``w = 1``, so one Gram for a grid tied
+    over snapshots (Case III) and one per snapshot for the per-cell grid
+    (Case IV).
     """
     A = np.asarray(moments, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
@@ -199,26 +184,20 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray):
         raise ValueError("noise variances must be strictly positive")
     W = 1.0 / nu
     Ah = A.conj().T
+    g, w = (np.ones((M, 1)), np.broadcast_to(W[0], (L,))) if nu.shape[0] == 1 else (W, np.ones(L))
+    G = (Ah[None, :, :] * g.T[:, None, :]) @ A
     idx = np.arange(A.shape[1])
-    if nu.shape[0] == 1 or nu.shape[1] == 1:    # separable: J_l = w_l A^H diag(g) A
-        g, w = (np.ones(M), np.broadcast_to(W[0], (L,))) if nu.shape[0] == 1 else (W[:, 0], np.ones(L))
-        G = (Ah * g) @ A
-        G[idx, idx] = g.sum()
-        J = ScaledGram(G=G, w=w)
-    else:                                        # per-cell (Case IV): one Gram per snapshot
-        J = (Ah[None, :, :] * W.T[:, None, :]) @ A
-        J[:, idx, idx] = W.sum(axis=0)[:, None]
+    G[:, idx, idx] = g.sum(axis=0)[:, None]
     H = Ah @ (W * Y)
-    return J, H
+    return ScaledGram(G=G, w=w), H
 
 
-def make_workspace(J: np.ndarray | ScaledGram, H: np.ndarray, rho: float, tau: float, support=()) -> SearchWorkspace:
+def make_workspace(J: ScaledGram, H: np.ndarray, rho: float, tau: float, support=()) -> SearchWorkspace:
     """Build a workspace warm-started at the given support (one factorisation)."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if not tau > 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    J = J if isinstance(J, ScaledGram) else np.asarray(J)
     ws = SearchWorkspace(J=J, H=np.asarray(H), rho=float(rho), tau=float(tau),
                          order=sorted(int(i) for i in support))
     _refresh(ws)
@@ -246,27 +225,17 @@ def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
 
 def _refresh(ws: SearchWorkspace) -> None:
     """Factor A_l = [J_l]_S + I/tau of the current support; set the posterior and x from it."""
-    H_S = ws.H[ws.order, :]
-    if isinstance(ws.J, ScaledGram):
-        try:
-            lam, V = np.linalg.eigh(ws.J.G[np.ix_(ws.order, ws.order)])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"posterior system not positive definite: {exc}") from exc
-        prec = ws.J.w[:, None] * lam + 1.0 / ws.tau         # (L, k) eigenvalues of A_l
-        if not np.all(prec > 0):
-            raise NumericalError(f"posterior system not positive definite: eigenvalue {prec.min():.3g}")
-        d = 1.0 / prec
-        ws.posterior = EigenPosterior(V=V, d=d)
-        ws.x = V @ (d.T * (np.conj(V.T) @ H_S))
-        return
-    A = ws.J[:, ws.order][:, :, ws.order] + np.eye(len(ws.order)) / ws.tau
     try:
-        R = np.linalg.inv(np.linalg.cholesky(A))
+        lam, V = np.linalg.eigh(ws.J.G[:, ws.order][:, :, ws.order])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior system not positive definite: {exc}") from exc
-    ws.posterior = CholeskyPosterior(R=R)
-    z = np.einsum("lij,jl->il", R, H_S)
-    ws.x = np.einsum("lji,jl->il", np.conj(R), z)
+    prec = ws.J.w[:, None] * lam + 1.0 / ws.tau             # (L, k) eigenvalues of A_l; P is 1 or L
+    if not np.all(prec > 0):
+        raise NumericalError(f"posterior system not positive definite: eigenvalue {prec.min():.3g}")
+    d = 1.0 / prec
+    ws.posterior = EigenPosterior(V=V, d=d)
+    P = len(V)
+    ws.x = _unblock(V @ (_blocks(d.T, P) * (np.conj(V.swapaxes(1, 2)) @ _blocks(ws.H[ws.order, :], P))))
 
 
 def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
@@ -279,17 +248,13 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
 
     if inactive:
         # per snapshot and candidate m: quad = J_{S,m}^H C J_{S,m}, cross = J_{S,m}^H x, tr_inv = J_mm
-        if isinstance(ws.J, ScaledGram):
-            w, V, d = ws.J.w, ws.posterior.V, ws.posterior.d
-            Gsel = ws.J.G[np.ix_(active, inactive)]          # (s, m)
-            quad = (d * w[:, None] ** 2) @ (np.abs(np.conj(V.T) @ Gsel) ** 2)
-            cross = w[:, None] * (np.conj(Gsel.T) @ ws.x).T
-            tr_inv = ws.J.G[0, 0].real * w
-        else:
-            Jsel = ws.J[:, active][:, :, inactive]            # (L, s, m)
-            quad = (np.abs(ws.posterior.R @ Jsel) ** 2).sum(axis=1)  # (L, m)
-            cross = (ws.x.T[:, None, :] @ np.conj(Jsel))[:, 0, :]  # (L, m); matmul is 3-4x einsum's speed here
-            tr_inv = ws.J[:, 0, 0].real                       # the constant diagonal, tr(Sigma_l^{-1})
+        w, V, d = ws.J.w, ws.posterior.V, ws.posterior.d
+        P, k = V.shape[:2]
+        Gsel = ws.J.G[:, active][:, :, inactive]                      # (P, s, m)
+        proj = np.abs(np.conj(V.swapaxes(1, 2)) @ Gsel) ** 2         # (P, k, m)
+        quad = ((d * w[:, None] ** 2).reshape(P, ws.L // P, k) @ proj).reshape(ws.L, -1)
+        cross = w[:, None] * _unblock(np.conj(Gsel.swapaxes(1, 2)) @ _blocks(ws.x, P)).T
+        tr_inv = ws.J.G[:, 0, 0].real * w                             # the constant diagonal, tr(Sigma_l^{-1})
         denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
         if np.any(denom <= 0):
             raise NumericalError("nonpositive Schur complement in candidate sweep")

@@ -5,7 +5,7 @@ import pytest
 
 from gdoa.circular import VonMises, moment_vector
 from gdoa.model import steering_matrix
-from gdoa.support_search import CholeskyPosterior, EigenPosterior, compute_jh, make_workspace
+from gdoa.support_search import EigenPosterior, compute_jh, make_workspace
 
 
 def random_variances(rng, M, L, spread_db=12.0):
@@ -59,18 +59,14 @@ def support_vec(n, indices):
 
 
 def dense_covs(posterior):
-    """The (L, k, k) stack of the C_l that a weight posterior of either form stands for."""
-    if isinstance(posterior, EigenPosterior):
-        return (posterior.V * posterior.d[:, None, :]) @ np.conj(posterior.V.T)
-    return np.conj(np.swapaxes(posterior.R, 1, 2)) @ posterior.R
+    """The (L, k, k) stack of the C_l that a weight posterior stands for, with P = 1 or L bases."""
+    return (posterior.V * posterior.d[:, None, :]) @ np.conj(np.swapaxes(posterior.V, 1, 2))
 
 
-def cholesky_posterior(C):
-    """The Case IV form of a hand-made (L, k, k) stack: R = chol(C)^H, so C = R^H R (R = 0 for C = 0)."""
-    C = np.asarray(C, dtype=complex)
-    if not np.any(C):
-        return CholeskyPosterior(R=np.zeros_like(C))
-    return CholeskyPosterior(R=np.conj(np.swapaxes(np.linalg.cholesky(C), 1, 2)))
+def eigen_posterior(C):
+    """The posterior of a hand-made (L, k, k) stack, one eigenbasis per snapshot (P = L)."""
+    d, V = np.linalg.eigh(np.asarray(C, dtype=complex))
+    return EigenPosterior(V=V, d=d)
 
 
 @pytest.fixture

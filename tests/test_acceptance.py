@@ -32,11 +32,12 @@ def report(n, name):
 def dense_posteriors(inst, order, tau):
     idx = list(order)
     k = len(idx)
-    L = inst["J"].shape[0]
+    J = inst["J"].w[:, None, None] * inst["J"].G   # one (N, N) matrix per snapshot
+    L = J.shape[0]
     C = np.zeros((L, k, k), dtype=complex)
     x = np.zeros((k, L), dtype=complex)
     for l in range(L):
-        A = inst["J"][l][np.ix_(idx, idx)] + np.eye(k) / tau
+        A = J[l][np.ix_(idx, idx)] + np.eye(k) / tau
         C[l] = np.linalg.inv(A)
         x[:, l] = C[l] @ inst["H"][idx, l]
     return C, x

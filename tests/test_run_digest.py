@@ -42,7 +42,19 @@ def test_each_failing_line_is_named_with_its_cause():
 def test_a_move_within_the_tolerance_passes_and_is_reported():
     report, failures = run_digest.compare([line(MOVED)], [line(MOVED, omegas=(0.5 + 5e-9, -3.1))])
     assert failures == []
-    assert report == ["0/1 lines byte-identical", "MVHN: largest omega move 5e-09 rad"]
+    assert report == ["0/1 lines byte-identical", "MVHN: 0/1 byte-identical, largest omega move 5e-09 rad"]
+
+
+def test_byte_identical_lines_are_counted_per_variant():
+    other = "MVALSE case=IV M=20 L=10 snr=5 seed=9101"
+    before = BEFORE + [line(other)]
+    after = [line(SAME), line(MOVED, omegas=(0.5 + 5e-9, -3.1)), line(LONGER), line(other)]
+    report, failures = run_digest.compare(before, after)
+    assert failures == []
+    assert report == ["3/4 lines byte-identical",
+                      "MVALSE: 2/2 byte-identical, largest omega move 0 rad",
+                      "MVHN: 0/1 byte-identical, largest omega move 5e-09 rad",
+                      "MVHN-S: 1/1 byte-identical, largest omega move 0 rad"]
 
 
 def test_angles_are_compared_on_the_circle():

@@ -5,8 +5,6 @@ from conftest import dense_covs, random_instance, random_moments, random_varianc
 from gdoa.inference import NoiseCase, update_hyperparams, update_weights_support
 from gdoa.model import steering_matrix
 from gdoa.support_search import (
-    CholeskyPosterior,
-    EigenPosterior,
     NumericalError,
     ScaledGram,
     SupportState,
@@ -21,8 +19,14 @@ from test_inference import make_state
 
 
 def spread_j(J):
-    """J as one (N, N) matrix per snapshot: separable noise's w_l G expanded."""
-    return J.w[:, None, None] * J.G if isinstance(J, ScaledGram) else J
+    """J as one (N, N) matrix per snapshot: the w_l G_p expanded."""
+    return J.w[:, None, None] * J.G
+
+
+def per_cell(J):
+    """J in the per-cell form, one Gram per snapshot (P = L) and w = 1."""
+    G = spread_j(J)
+    return ScaledGram(G=G, w=np.ones(len(G)))
 
 
 def per_snapshot_j(inst):
@@ -90,7 +94,7 @@ class TestComputeJH:
                         expected = np.sum(1.0 / nu[:, l])
                     else:
                         expected = sum(np.conj(A[m, i]) * A[m, j] / nu[m, l] for m in range(M))
-                    assert abs(J[l, i, j] - expected) <= 1e-13 * max(1.0, abs(expected))
+                    assert abs(J.G[l, i, j] - expected) <= 1e-13 * max(1.0, abs(expected))
             for i in range(N):
                 expected = sum(np.conj(A[m, i]) * Y[m, l] / nu[m, l] for m in range(M))
                 assert abs(H[i, l] - expected) <= 1e-13 * max(1.0, abs(expected))
@@ -98,8 +102,9 @@ class TestComputeJH:
     def test_diagonal_is_trace_of_inverse_covariance(self, rng):
         inst = random_instance(rng)
         tr = (1.0 / inst["nu"]).sum(axis=0)
-        for l in range(inst["J"].shape[0]):
-            assert np.array_equal(np.diag(inst["J"][l]).real, np.full(inst["J"].shape[1], tr[l]))
+        G = inst["J"].G
+        for l in range(G.shape[0]):
+            assert np.array_equal(np.diag(G[l]).real, np.full(G.shape[1], tr[l]))
 
     def test_unit_variance_reduces_to_dirichlet_kernel(self):
         M, L = 8, 2
@@ -111,7 +116,7 @@ class TestComputeJH:
             for j in range(3):
                 if i != j:
                     expected = np.vdot(A[:, i], A[:, j])
-                    assert J[0, i, j] == pytest.approx(expected, abs=1e-12)
+                    assert J.G[0, i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_nonpositive_variance_rejected(self, rng):
         inst = random_instance(rng)
@@ -119,6 +124,18 @@ class TestComputeJH:
         bad[0, 0] = 0.0
         with pytest.raises(ValueError):
             compute_jh(inst["moments"], bad, inst["Y"])
+
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
+    def test_one_scaled_gram_per_block_in_every_case(self, rng, case):
+        M, N, L = 9, 6, 5
+        nu = random_variances(rng, M, L).mean(axis=case.tied_axes, keepdims=True)
+        Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        J, H = compute_jh(random_moments(rng, M, N), nu, Y)
+        assert isinstance(J, ScaledGram)
+        P = L if case is NoiseCase.IV else 1
+        assert [a.shape for a in (J.G, J.w, H)] == [(P, N, N), (L,), (N, L)]
+        if case is NoiseCase.IV:
+            assert np.array_equal(J.w, np.ones(L))
 
 
 STRUCTURED = [NoiseCase.I, NoiseCase.II, NoiseCase.III]
@@ -135,9 +152,10 @@ class TestStructuredJ:
             Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
             J, H = compute_jh(A, nu, Y)
             J_full, H_full = compute_jh(A, np.broadcast_to(nu, (M, L)), Y)
-            assert isinstance(J, ScaledGram) and J.G.shape == (N, N) and J.w.shape == (L,)
-            assert isinstance(J_full, np.ndarray) and J_full.shape == (L, N, N)
-            assert np.abs(spread_j(J) - J_full).max() <= 1e-12 * np.abs(J_full).max()
+            assert isinstance(J, ScaledGram) and J.G.shape == (1, N, N) and J.w.shape == (L,)
+            assert isinstance(J_full, ScaledGram) and J_full.G.shape == (L, N, N)
+            assert np.array_equal(J_full.w, np.ones(L))
+            assert np.abs(spread_j(J) - J_full.G).max() <= 1e-12 * np.abs(J_full.G).max()
             assert np.abs(H - H_full).max() <= 1e-12 * np.abs(H_full).max()
 
     def test_full_grid_is_bitwise_unchanged(self, rng):
@@ -145,8 +163,8 @@ class TestStructuredJ:
         A = random_moments(rng, M, N)
         nu = random_variances(rng, M, L)
         Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
-        for got, want in zip(compute_jh(A, nu, Y), head_compute_jh(A, nu, Y)):
-            assert np.array_equal(got, want)
+        (J, H), (J_ref, H_ref) = compute_jh(A, nu, Y), head_compute_jh(A, nu, Y)
+        assert np.array_equal(J.G, J_ref) and np.array_equal(J.w, np.ones(L)) and np.array_equal(H, H_ref)
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
     def test_shared_j_flips_match_dense(self, rng, case):
@@ -198,7 +216,7 @@ class TestStructuredJ:
         J, H = compute_jh(state.moments, np.array(np.broadcast_to(state.noise.compact_grid(M, L), (M, L))), Y)
         energy = trace = 0.0
         for l in range(L):
-            C_l = np.linalg.inv(J[l][np.ix_(S, S)] + np.eye(len(S)) / tau0)
+            C_l = np.linalg.inv(J.G[l][np.ix_(S, S)] + np.eye(len(S)) / tau0)
             energy += np.sum(np.abs(C_l @ H[S, l]) ** 2)
             trace += np.trace(C_l).real
         update_hyperparams(state)
@@ -220,19 +238,16 @@ class TestFactor:
                 assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("tied_axes", LAYOUTS, ids=str)
-    def test_factor_is_triangular_and_gives_dense_inverse(self, rng, tied_axes):
+    def test_factor_gives_dense_inverse(self, rng, tied_axes):
         for trial in range(25):
             inst = random_instance(rng, L=4, k_true=int(rng.integers(0, 3)), tied_axes=tied_axes)
             ws = workspace_of(inst, rng.choice(8, size=1 + trial % 5, replace=False).tolist())
             k = len(ws.order)
-            if tied_axes:  # separable noise: one unitary eigenbasis, positive per-snapshot eigenvalues
-                post = ws.posterior
-                assert isinstance(post, EigenPosterior) and post.d.shape == (4, k) and np.all(post.d > 0)
-                assert np.abs(np.conj(post.V.T) @ post.V - np.eye(k)).max() <= 1e-14 * k
-            else:
-                R = ws.posterior.R
-                assert isinstance(ws.posterior, CholeskyPosterior) and R.shape == (4, k, k)
-                assert np.abs(np.triu(R, 1)).max() <= 1e-14 * np.abs(R).max()
+            # unitary eigenbases, one for separable noise and one per snapshot for per-cell noise,
+            # and positive per-snapshot eigenvalues
+            post = ws.posterior
+            assert post.V.shape == (1 if tied_axes else 4, k, k) and post.d.shape == (4, k) and np.all(post.d > 0)
+            assert np.abs(np.conj(np.swapaxes(post.V, 1, 2)) @ post.V - np.eye(k)).max() <= 1e-14 * k
             C_ref, _ = dense_posteriors(inst, ws.order, inst["tau"])
             C = dense_covs(ws.posterior)
             assert C.shape == (4, k, k)
@@ -241,7 +256,8 @@ class TestFactor:
     def test_indefinite_system_rejected(self, rng):
         inst = random_instance(rng)
         with pytest.raises(NumericalError, match="positive definite"):
-            make_workspace(np.broadcast_to(-5.0 * np.eye(8), (3, 8, 8)), inst["H"], 0.5, 1.0, support=(0, 3))
+            make_workspace(ScaledGram(G=np.broadcast_to(-5.0 * np.eye(8), (3, 8, 8)), w=np.ones(3)),
+                           inst["H"], 0.5, 1.0, support=(0, 3))
 
 
 def rel_gap(got, want):
@@ -249,7 +265,7 @@ def rel_gap(got, want):
 
 
 class TestSeparableEigenbasis:
-    """The eigenbasis workspace of separable noise against the Cholesky workspace of the spread (L, N, N) stack."""
+    """The one-basis workspace of separable noise against the per-snapshot (P = L) workspace of the spread stack."""
 
     @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
     def test_compute_jh_builds_no_snapshot_stack(self, rng, case):
@@ -258,23 +274,23 @@ class TestSeparableEigenbasis:
         Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
         J, H = compute_jh(random_moments(rng, M, N), nu, Y)
         assert isinstance(J, ScaledGram)
-        assert [a.shape for a in (J.G, J.w, H)] == [(N, N), (L,), (N, L)]
+        assert [a.shape for a in (J.G, J.w, H)] == [(1, N, N), (L,), (N, L)]
         if case is NoiseCase.III:  # tied over snapshots: the weights sit in G
-            assert np.array_equal(np.diag(J.G).real, np.full(N, (1.0 / nu).sum()))
+            assert np.array_equal(np.diag(J.G[0]).real, np.full(N, (1.0 / nu).sum()))
             assert np.array_equal(J.w, np.ones(L))
         else:                      # tied over antennas: G = A^H A, w = 1/s
-            assert np.array_equal(np.diag(J.G).real, np.full(N, float(M)))
+            assert np.array_equal(np.diag(J.G[0]).real, np.full(N, float(M)))
             assert np.array_equal(J.w, np.broadcast_to(1.0 / nu[0], (L,)))
 
     @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
     def test_flip_sequences_match_dense_workspace(self, rng, case):
         for trial in range(40):
             inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)), tied_axes=case.tied_axes)
-            dense = spread_j(inst["J"])
+            dense = per_cell(inst["J"])
             ws = workspace_of(inst, rng.choice(8, size=trial % 5, replace=False).tolist())
             for _ in range(4):
                 ref = make_workspace(dense, inst["H"], inst["rho"], inst["tau"], support=ws.order)
-                assert isinstance(ws.posterior, EigenPosterior) and isinstance(ref.posterior, CholeskyPosterior)
+                assert len(ws.posterior.V) == 1 and len(ref.posterior.V) == 5
                 assert abs(ws.ln_z - ref.ln_z) <= 1e-10 * max(1.0, abs(ref.ln_z))
                 got, want = _sweep_deltas(ws), _sweep_deltas(ref)
                 assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
@@ -290,11 +306,11 @@ class TestSeparableEigenbasis:
             inst = random_instance(rng, L=5, k_true=int(rng.integers(0, 4)),
                                    snr_db=float(rng.uniform(0, 20)), tied_axes=case.tied_axes)
             support, ws = greedy_search(workspace_of(inst))
-            ref, _ = greedy_search(make_workspace(spread_j(inst["J"]), inst["H"], inst["rho"], inst["tau"]))
+            ref, _ = greedy_search(make_workspace(per_cell(inst["J"]), inst["H"], inst["rho"], inst["tau"]))
             assert support.active_set == ref.active_set == tuple(ws.order)
             assert_is_fresh(ws, inst)
 
-    @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
     def test_eigh_failure_is_numerical_error(self, rng, monkeypatch, case):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -307,7 +323,7 @@ class TestSeparableEigenbasis:
     @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
     def test_nonpositive_eigenvalue_rejected(self, rng, case):
         inst = random_instance(rng, tied_axes=case.tied_axes)
-        J = ScaledGram(G=-5.0 * np.eye(8), w=inst["J"].w)
+        J = ScaledGram(G=-5.0 * np.eye(8)[None], w=inst["J"].w)
         with pytest.raises(NumericalError, match="posterior system not positive definite: eigenvalue"):
             make_workspace(J, inst["H"], 0.5, 1.0, support=(0, 3))
 

@@ -127,8 +127,8 @@ class TestRunSweep:
             write_result_table(path, table)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_eigh_failure_fails_only_the_separable_variants(self, monkeypatch):
-        # Cases I-III factor the posterior system in one eigenbasis; only MVHN (Case IV) avoids eigh
+    def test_eigh_failure_fails_every_estimator_variant(self, monkeypatch):
+        # every noise case factors the posterior system by eigh; only CBF avoids it
         cfg = small_sweep(trials=2, include_crb=False, algorithms=("MVALSE", "MVHN-S", "MVHN-A", "MVHN", "CBF"))
         clean = run_sweep(cfg)
 
@@ -139,10 +139,10 @@ class TestRunSweep:
         table = run_sweep(cfg)
         assert [r.algorithm for r in table.records] == [r.algorithm for r in clean.records]
         for got, want in zip(table.records, clean.records):
-            if got.algorithm in ("MVALSE", "MVHN-S", "MVHN-A"):
+            if got.algorithm in ("MVALSE", "MVHN-S", "MVHN-A", "MVHN"):
                 assert (got.k_hat, got.order_correct, got.nmse, got.freq_sq_error) == (0, False, None, None)
             else:
-                assert got.algorithm in ("MVHN", "CBF")
+                assert got.algorithm == "CBF"
                 assert replace(got, runtime_s=0.0) == replace(want, runtime_s=0.0)
 
     def test_cbf_rows(self, tmp_path):
