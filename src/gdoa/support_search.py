@@ -20,6 +20,13 @@ Everything else reads that one factorisation, an :class:`EigenPosterior`:
 the weight posterior C_l, ``x_l = C_l H_{S,l}``, the evidence score and the
 gains of all N candidate flips, in a single batched pass over the P blocks.
 The per-snapshot weights x and linear terms H always carry L columns.
+
+The search reads few rows of the G_p: ``[G_p]_S`` to factor a support, the
+rows ``G_p[S, m]`` of the candidates m to score them, and the pinned diagonal.
+So a row is built on its first read, for all P blocks at once, and kept for
+the rest of the search; a flip that activates m builds row m.  A search
+builds the rows of the supports it visits, a handful of the N, in place of
+the full O(M N^2 P) stack.
 """
 
 from __future__ import annotations
@@ -69,16 +76,45 @@ def _unblock(X: np.ndarray) -> np.ndarray:
     return X.transpose(1, 0, 2).reshape(n, P * B)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScaledGram:
     """Quadratic forms ``J_l = w_l G_p``, snapshot l in block ``p = l // (L/P)``.
 
-    P = 1 for a variance grid tied over antennas or snapshots (Cases I-III),
-    P = L with ``w = 1`` for the per-cell grid (Case IV).
+    ``G_p = A^H diag(g_p) A`` with its diagonal pinned to ``sum(g_p)``.  P = 1
+    for a variance grid tied over antennas or snapshots (Cases I-III), P = L
+    with ``w = 1`` for the per-cell grid (Case IV).
+
+    Rows are built on first read (:meth:`rows`) and kept in ``G``.  Every
+    build is one product of at least two rows, and a lone missing row is
+    built twice: a one-row product goes through BLAS's matrix-vector kernel,
+    which rounds differently from the matrix-matrix kernel, while a product
+    of two or more rows gives each row bit for bit as the full product does.
     """
 
-    G: np.ndarray            # (P, N, N) Hermitian Grams A^H diag(g_p) A, diagonals pinned to sum(g_p)
+    Ah: np.ndarray           # (N, M) conjugate transpose of A
+    A: np.ndarray            # (M, N) expected steering vectors
+    g: np.ndarray            # (M, P) cell weights, column p for G_p
     w: np.ndarray            # (L,) per-snapshot weights
+    diag: np.ndarray = field(init=False)    # (P,) the pinned diagonal sum(g_p)
+    G: np.ndarray = field(init=False)       # (P, N, N) rows of the G_p, valid where built
+    built: np.ndarray = field(init=False)   # (N,) which rows G holds
+
+    def __post_init__(self):
+        N, P = self.A.shape[1], self.g.shape[1]
+        self.diag = self.g.sum(axis=0)
+        self.G = np.empty((P, N, N), dtype=np.complex128)
+        self.built = np.zeros(N, dtype=bool)
+
+    def rows(self, idx: list[int]) -> np.ndarray:
+        """Rows ``idx`` of every G_p, (P, len(idx), N); those not read before are built first."""
+        new = [i for i in idx if not self.built[i]]
+        if new:
+            new = new * 2 if len(new) == 1 else new    # never a one-row product (see above)
+            R = (self.Ah[new][None, :, :] * self.g.T[:, None, :]) @ self.A
+            R[:, np.arange(len(new)), new] = self.diag[:, None]
+            self.G[:, new] = R
+            self.built[new] = True
+        return self.G[:, idx]
 
 
 @dataclass(frozen=True)
@@ -172,7 +208,8 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray) -> tup
     (Cases I, II), ``g = 1`` and ``w = W[0]``, so one Gram ``A^H A`` with
     diagonal M; otherwise ``g = W`` and ``w = 1``, so one Gram for a grid tied
     over snapshots (Case III) and one per snapshot for the per-cell grid
-    (Case IV).
+    (Case IV).  H is built in full, since every candidate reads it; the Gram
+    rows are built as the search reads them.
     """
     A = np.asarray(moments, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)
@@ -185,11 +222,7 @@ def compute_jh(moments: np.ndarray, variances: np.ndarray, Y: np.ndarray) -> tup
     W = 1.0 / nu
     Ah = A.conj().T
     g, w = (np.ones((M, 1)), np.broadcast_to(W[0], (L,))) if nu.shape[0] == 1 else (W, np.ones(L))
-    G = (Ah[None, :, :] * g.T[:, None, :]) @ A
-    idx = np.arange(A.shape[1])
-    G[:, idx, idx] = g.sum(axis=0)[:, None]
-    H = Ah @ (W * Y)
-    return ScaledGram(G=G, w=w), H
+    return ScaledGram(Ah=Ah, A=A, g=g, w=w), Ah @ (W * Y)
 
 
 def make_workspace(J: ScaledGram, H: np.ndarray, rho: float, tau: float, support=()) -> SearchWorkspace:
@@ -225,8 +258,9 @@ def apply_flip(k: int, ws: SearchWorkspace) -> SearchWorkspace:
 
 def _refresh(ws: SearchWorkspace) -> None:
     """Factor A_l = [J_l]_S + I/tau of the current support; set the posterior and x from it."""
+    G_S = ws.J.rows(ws.order)[:, :, ws.order]
     try:
-        lam, V = np.linalg.eigh(ws.J.G[:, ws.order][:, :, ws.order])
+        lam, V = np.linalg.eigh(G_S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior system not positive definite: {exc}") from exc
     prec = ws.J.w[:, None] * lam + 1.0 / ws.tau             # (L, k) eigenvalues of A_l; P is 1 or L
@@ -250,11 +284,11 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
         # per snapshot and candidate m: quad = J_{S,m}^H C J_{S,m}, cross = J_{S,m}^H x, tr_inv = J_mm
         w, V, d = ws.J.w, ws.posterior.V, ws.posterior.d
         P, k = V.shape[:2]
-        Gsel = ws.J.G[:, active][:, :, inactive]                      # (P, s, m)
+        Gsel = ws.J.rows(active)[:, :, inactive]                      # (P, s, m)
         proj = np.abs(np.conj(V.swapaxes(1, 2)) @ Gsel) ** 2         # (P, k, m)
         quad = ((d * w[:, None] ** 2).reshape(P, ws.L // P, k) @ proj).reshape(ws.L, -1)
         cross = w[:, None] * _unblock(np.conj(Gsel.swapaxes(1, 2)) @ _blocks(ws.x, P)).T
-        tr_inv = ws.J.G[:, 0, 0].real * w                             # the constant diagonal, tr(Sigma_l^{-1})
+        tr_inv = ws.J.diag * w                                        # the constant diagonal, tr(Sigma_l^{-1})
         denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
         if np.any(denom <= 0):
             raise NumericalError("nonpositive Schur complement in candidate sweep")

@@ -5,7 +5,7 @@ import pytest
 
 from gdoa.circular import VonMises, moment_vector
 from gdoa.model import steering_matrix
-from gdoa.support_search import EigenPosterior, compute_jh, make_workspace
+from gdoa.support_search import EigenPosterior, ScaledGram, compute_jh, make_workspace
 
 
 def random_variances(rng, M, L, spread_db=12.0):
@@ -45,6 +45,23 @@ def random_instance(rng, M=8, N=8, L=3, k_true=2, snr_db=10.0, rho=0.2, tau=None
     J, H = compute_jh(moments, nu, Y)
     tau = float(np.mean(np.abs(X) ** 2)) if (tau is None and k_true) else (tau or 1.0)
     return {"Y": Y, "nu": nu, "moments": moments, "J": J, "H": H, "rho": rho, "tau": tau}
+
+
+def full_gram(J):
+    """Every row of J's (P, N, N) Gram stack, the rows not yet built made in one product."""
+    return J.rows(list(range(J.A.shape[1])))
+
+
+def stack_gram(G, w):
+    """A ScaledGram that holds a hand-made (P, N, N) stack, every row built, with its diagonal pinned at G[:, 0, 0]."""
+    G = np.asarray(G, dtype=complex)
+    P, N, _ = G.shape
+    J = ScaledGram(Ah=np.zeros((N, 0), dtype=complex), A=np.zeros((0, N), dtype=complex),
+                   g=np.zeros((0, P)), w=np.asarray(w, dtype=float))
+    J.G[:] = G
+    J.built[:] = True
+    J.diag = G[:, 0, 0].real.copy()
+    return J
 
 
 def workspace_of(inst, support=()):

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
 
-from conftest import dense_covs, random_instance, support_vec, workspace_of
+from conftest import dense_covs, full_gram, random_instance, support_vec, workspace_of
 from gdoa.baselines import AngularGrid, cbf_spectrum
 from gdoa.circular import VonMises, moment_vector
 from gdoa.crb import CrbParameterization, fim, signal_partials
@@ -32,7 +32,7 @@ def report(n, name):
 def dense_posteriors(inst, order, tau):
     idx = list(order)
     k = len(idx)
-    J = inst["J"].w[:, None, None] * inst["J"].G   # one (N, N) matrix per snapshot
+    J = inst["J"].w[:, None, None] * full_gram(inst["J"])   # one (N, N) matrix per snapshot
     L = J.shape[0]
     C = np.zeros((L, k, k), dtype=complex)
     x = np.zeros((k, L), dtype=complex)

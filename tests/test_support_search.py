@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import dense_covs, random_instance, random_moments, random_variances, support_vec, workspace_of
+from conftest import (
+    dense_covs,
+    full_gram,
+    random_instance,
+    random_moments,
+    random_variances,
+    stack_gram,
+    support_vec,
+    workspace_of,
+)
+from gdoa import support_search
 from gdoa.inference import NoiseCase, update_hyperparams, update_weights_support
 from gdoa.model import steering_matrix
 from gdoa.support_search import (
@@ -20,13 +30,13 @@ from test_inference import make_state
 
 def spread_j(J):
     """J as one (N, N) matrix per snapshot: the w_l G_p expanded."""
-    return J.w[:, None, None] * J.G
+    return J.w[:, None, None] * full_gram(J)
 
 
 def per_cell(J):
     """J in the per-cell form, one Gram per snapshot (P = L) and w = 1."""
     G = spread_j(J)
-    return ScaledGram(G=G, w=np.ones(len(G)))
+    return stack_gram(G, np.ones(len(G)))
 
 
 def per_snapshot_j(inst):
@@ -87,6 +97,7 @@ class TestComputeJH:
         nu = random_variances(rng, M, L)
         Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
         J, H = compute_jh(A, nu, Y)
+        G = full_gram(J)
         for l in range(L):
             for i in range(N):
                 for j in range(N):
@@ -94,7 +105,7 @@ class TestComputeJH:
                         expected = np.sum(1.0 / nu[:, l])
                     else:
                         expected = sum(np.conj(A[m, i]) * A[m, j] / nu[m, l] for m in range(M))
-                    assert abs(J.G[l, i, j] - expected) <= 1e-13 * max(1.0, abs(expected))
+                    assert abs(G[l, i, j] - expected) <= 1e-13 * max(1.0, abs(expected))
             for i in range(N):
                 expected = sum(np.conj(A[m, i]) * Y[m, l] / nu[m, l] for m in range(M))
                 assert abs(H[i, l] - expected) <= 1e-13 * max(1.0, abs(expected))
@@ -102,7 +113,7 @@ class TestComputeJH:
     def test_diagonal_is_trace_of_inverse_covariance(self, rng):
         inst = random_instance(rng)
         tr = (1.0 / inst["nu"]).sum(axis=0)
-        G = inst["J"].G
+        G = full_gram(inst["J"])
         for l in range(G.shape[0]):
             assert np.array_equal(np.diag(G[l]).real, np.full(G.shape[1], tr[l]))
 
@@ -116,7 +127,7 @@ class TestComputeJH:
             for j in range(3):
                 if i != j:
                     expected = np.vdot(A[:, i], A[:, j])
-                    assert J.G[0, i, j] == pytest.approx(expected, abs=1e-12)
+                    assert full_gram(J)[0, i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_nonpositive_variance_rejected(self, rng):
         inst = random_instance(rng)
@@ -133,9 +144,76 @@ class TestComputeJH:
         J, H = compute_jh(random_moments(rng, M, N), nu, Y)
         assert isinstance(J, ScaledGram)
         P = L if case is NoiseCase.IV else 1
-        assert [a.shape for a in (J.G, J.w, H)] == [(P, N, N), (L,), (N, L)]
+        assert [a.shape for a in (full_gram(J), J.w, H)] == [(P, N, N), (L,), (N, L)]
         if case is NoiseCase.IV:
             assert np.array_equal(J.w, np.ones(L))
+
+
+class TestLazyRows:
+    """Gram rows are built as the search reads them, each bit for bit the row of the full product."""
+
+    @staticmethod
+    def full_product(A, nu):
+        """The whole (P, N, N) stack in one product, its diagonal pinned, as compute_jh builds it."""
+        W = 1.0 / nu
+        g = np.ones((len(A), 1)) if nu.shape[0] == 1 else W
+        Ah = A.conj().T
+        G = (Ah[None, :, :] * g.T[:, None, :]) @ A
+        idx = np.arange(A.shape[1])
+        G[:, idx, idx] = g.sum(axis=0)[:, None]
+        return G
+
+    @pytest.mark.parametrize("M, L", [(20, 10), (64, 100)])
+    @pytest.mark.parametrize("case", [NoiseCase.II, NoiseCase.III, NoiseCase.IV], ids=lambda c: c.value)
+    def test_rows_built_one_flip_at_a_time_are_the_full_product(self, rng, M, L, case):
+        N = M
+        A = random_moments(rng, M, N)
+        nu = random_variances(rng, M, L).mean(axis=case.tied_axes, keepdims=True)
+        Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        J, H = compute_jh(A, nu, Y)
+        want = self.full_product(A, nu)
+        assert len(want) == (L if case is NoiseCase.IV else 1)
+        ws = make_workspace(J, H, 0.2, 1.0)
+        assert not J.built.any()
+        # from the empty support, each flip activates one row not read before: a lone missing row
+        for step, m in enumerate(rng.permutation(N)[:8].tolist()):
+            apply_flip(m, ws)
+            assert J.built.sum() == step + 1
+            assert np.array_equal(J.G[:, J.built], want[:, J.built])
+            if step % 3 == 2:          # a deactivation and a reactivation build nothing
+                apply_flip(m, ws)
+                apply_flip(m, ws)
+                assert J.built.sum() == step + 1
+        assert np.array_equal(full_gram(J), want)
+
+    def test_search_builds_only_the_rows_of_the_supports_it_visits(self, rng, monkeypatch):
+        visited = []
+
+        def recording(k, ws):
+            out = flip(k, ws)
+            visited.append(tuple(ws.order))
+            return out
+
+        flip = support_search.apply_flip
+        monkeypatch.setattr(support_search, "apply_flip", recording)
+        for case in NoiseCase:
+            for _ in range(5):
+                inst = random_instance(rng, M=20, N=20, L=10, k_true=3, snr_db=10.0, tied_axes=case.tied_axes)
+                visited.clear()
+                support, ws = greedy_search(workspace_of(inst, (4,)))
+                assert visited and visited[-1] == support.active_set
+                read = {4}.union(*visited)
+                assert set(np.flatnonzero(inst["J"].built).tolist()) == read and len(read) < 20
+
+    def test_schur_failure_is_numerical_error(self):
+        # g with a negative cell: G = [[0.1, 1.9], [1.9, 0.1]], so [G]_{0} + 1 is positive
+        # but the Schur complement of candidate 1 is 1.1 - 1.9^2/1.1 < 0
+        A = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+        J = ScaledGram(Ah=A.conj().T, A=A, g=np.array([[1.0], [-0.9]]), w=np.ones(3))
+        ws = make_workspace(J, np.ones((2, 3), dtype=complex), 0.5, 1.0, support=(0,))
+        assert J.built.tolist() == [True, False]
+        with pytest.raises(NumericalError, match="nonpositive Schur complement"):
+            greedy_search(ws)
 
 
 STRUCTURED = [NoiseCase.I, NoiseCase.II, NoiseCase.III]
@@ -152,10 +230,11 @@ class TestStructuredJ:
             Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
             J, H = compute_jh(A, nu, Y)
             J_full, H_full = compute_jh(A, np.broadcast_to(nu, (M, L)), Y)
-            assert isinstance(J, ScaledGram) and J.G.shape == (1, N, N) and J.w.shape == (L,)
-            assert isinstance(J_full, ScaledGram) and J_full.G.shape == (L, N, N)
+            G_full = full_gram(J_full)
+            assert isinstance(J, ScaledGram) and full_gram(J).shape == (1, N, N) and J.w.shape == (L,)
+            assert isinstance(J_full, ScaledGram) and G_full.shape == (L, N, N)
             assert np.array_equal(J_full.w, np.ones(L))
-            assert np.abs(spread_j(J) - J_full.G).max() <= 1e-12 * np.abs(J_full.G).max()
+            assert np.abs(spread_j(J) - G_full).max() <= 1e-12 * np.abs(G_full).max()
             assert np.abs(H - H_full).max() <= 1e-12 * np.abs(H_full).max()
 
     def test_full_grid_is_bitwise_unchanged(self, rng):
@@ -164,7 +243,7 @@ class TestStructuredJ:
         nu = random_variances(rng, M, L)
         Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
         (J, H), (J_ref, H_ref) = compute_jh(A, nu, Y), head_compute_jh(A, nu, Y)
-        assert np.array_equal(J.G, J_ref) and np.array_equal(J.w, np.ones(L)) and np.array_equal(H, H_ref)
+        assert np.array_equal(full_gram(J), J_ref) and np.array_equal(J.w, np.ones(L)) and np.array_equal(H, H_ref)
 
     @pytest.mark.parametrize("case", SHARED, ids=lambda c: c.value)
     def test_shared_j_flips_match_dense(self, rng, case):
@@ -215,8 +294,9 @@ class TestStructuredJ:
         assert S
         J, H = compute_jh(state.moments, np.array(np.broadcast_to(state.noise.compact_grid(M, L), (M, L))), Y)
         energy = trace = 0.0
+        G = full_gram(J)
         for l in range(L):
-            C_l = np.linalg.inv(J.G[l][np.ix_(S, S)] + np.eye(len(S)) / tau0)
+            C_l = np.linalg.inv(G[l][np.ix_(S, S)] + np.eye(len(S)) / tau0)
             energy += np.sum(np.abs(C_l @ H[S, l]) ** 2)
             trace += np.trace(C_l).real
         update_hyperparams(state)
@@ -256,7 +336,7 @@ class TestFactor:
     def test_indefinite_system_rejected(self, rng):
         inst = random_instance(rng)
         with pytest.raises(NumericalError, match="positive definite"):
-            make_workspace(ScaledGram(G=np.broadcast_to(-5.0 * np.eye(8), (3, 8, 8)), w=np.ones(3)),
+            make_workspace(stack_gram(np.broadcast_to(-5.0 * np.eye(8), (3, 8, 8)), np.ones(3)),
                            inst["H"], 0.5, 1.0, support=(0, 3))
 
 
@@ -274,12 +354,13 @@ class TestSeparableEigenbasis:
         Y = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
         J, H = compute_jh(random_moments(rng, M, N), nu, Y)
         assert isinstance(J, ScaledGram)
-        assert [a.shape for a in (J.G, J.w, H)] == [(1, N, N), (L,), (N, L)]
+        G = full_gram(J)
+        assert [a.shape for a in (G, J.w, H)] == [(1, N, N), (L,), (N, L)]
         if case is NoiseCase.III:  # tied over snapshots: the weights sit in G
-            assert np.array_equal(np.diag(J.G[0]).real, np.full(N, (1.0 / nu).sum()))
+            assert np.array_equal(np.diag(G[0]).real, np.full(N, (1.0 / nu).sum()))
             assert np.array_equal(J.w, np.ones(L))
         else:                      # tied over antennas: G = A^H A, w = 1/s
-            assert np.array_equal(np.diag(J.G[0]).real, np.full(N, float(M)))
+            assert np.array_equal(np.diag(G[0]).real, np.full(N, float(M)))
             assert np.array_equal(J.w, np.broadcast_to(1.0 / nu[0], (L,)))
 
     @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
@@ -323,7 +404,7 @@ class TestSeparableEigenbasis:
     @pytest.mark.parametrize("case", STRUCTURED, ids=lambda c: c.value)
     def test_nonpositive_eigenvalue_rejected(self, rng, case):
         inst = random_instance(rng, tied_axes=case.tied_axes)
-        J = ScaledGram(G=-5.0 * np.eye(8)[None], w=inst["J"].w)
+        J = stack_gram(-5.0 * np.eye(8)[None], inst["J"].w)
         with pytest.raises(NumericalError, match="posterior system not positive definite: eigenvalue"):
             make_workspace(J, inst["H"], 0.5, 1.0, support=(0, 3))
 
