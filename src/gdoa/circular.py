@@ -177,27 +177,19 @@ def approximate_posterior(eta: np.ndarray) -> VonMises:
     M = len(eta)
     if M < 2:
         raise ValueError(f"eta must have length >= 2, got {M}")
-    return _fit(np.conj(eta), _plan(M))
-
-
-def _fit(c: np.ndarray, plan: _Plan) -> VonMises:
-    """:func:`approximate_posterior` from ``c = conj(eta)``, a complex128 vector of length M >= 2, and ``_plan(M)``.
-
-    The caller that already holds ``conj(eta)`` skips the public function's
-    conversions; a non-finite or overflowing eta raises the same errors here.
-    """
+    plan = _plan(M)
     # a non-finite entry m >= 1 makes the sum nan or inf, and only then is every entry
     # checked; entry 0 has weight 0 and is checked before the product, which would meet
-    # it as 0*inf.  |conj(eta_m)| is |eta_m| bit for bit.
-    scale = float((plan.orders * np.abs(c)).sum()) if cmath.isfinite(c[0]) else math.nan
+    # it as 0*inf
+    scale = float((plan.orders * np.abs(eta)).sum()) if cmath.isfinite(eta[0]) else math.nan
     if not math.isfinite(scale):
-        if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(eta)):
             raise ValueError("eta contains non-finite entries")
         raise ValueError("sum of m*|eta_m| overflows float64; rescale eta")
     if scale == 0.0:
         return VonMises(0.0, 0.0)
 
-    basis = _series_basis(c, plan.derivs)
+    basis = _series_basis(np.conj(eta), plan.derivs)
     grid = np.fft.irfft(basis[0], n=plan.G, norm="forward")  # unscaled: 2 Re sum_m conj(eta_m) e^{i m w_g} - Re eta_0
     omega = plan.grid_step * int(grid.argmax())
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import VonMises, _fit, _next_pow2, _plan, _ratio_table, approximate_posterior, moment_vector
+from .circular import VonMises, _next_pow2, approximate_posterior, moment_vector
 from .model import NoiseCase, SnapshotMatrix
 from .support_search import EigenPosterior, SupportState, compute_jh, greedy_search, make_workspace
 
@@ -223,24 +223,18 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
     already-refreshed moments of its predecessors; inactive components keep
     their last belief.  Component p's coefficient is
     ``eta_p = 2 (B[:, p] - Σ_q A_S[:, q] ⊙ U[:, q, p])`` from the sweep's terms
-    (:func:`_sweep_terms`) and the current moments A_S.  The von Mises fit
-    reads ``conj(eta_p)``, so the sweep forms that from the conjugated terms
-    and calls the fit behind :func:`approximate_posterior` directly, with the
-    same bits, and reads the moments off the unchecked Bessel-ratio table as
-    :func:`moment_vector` does.
+    (:func:`_sweep_terms`) and the current moments A_S.
     """
     S = list(state.support.active_set)
     if not S:
         return state
     M = Y.shape[0]
-    plan = _plan(M)
     B, U = _sweep_terms(state, Y)
-    B_c, U_c, A_c = np.conj(B), np.conj(U), np.conj(state.moments[:, S])
+    A_S = state.moments[:, S]
     for p, i in enumerate(S):
-        # conj(eta_p) bit for bit: conjugation commutes exactly with these products and sums
-        vm = _fit(2.0 * (B_c[:, p] - (A_c * U_c[:, :, p]).sum(axis=1)), plan)
-        a_new = np.exp(1j * vm.mu * plan.orders) * _ratio_table(vm.kappa, M - 1)[:M]  # moment_vector(vm, M)
-        A_c[:, p] = np.conj(a_new)
+        vm = approximate_posterior(2.0 * (B[:, p] - (A_S * U[:, :, p]).sum(axis=1)))
+        a_new = moment_vector(vm, M)
+        A_S[:, p] = a_new
         state.posteriors[i] = vm
         state.moments[:, i] = a_new
     return state
