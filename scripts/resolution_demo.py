@@ -43,7 +43,8 @@ def main(argv=None) -> int:
                              delta_nu_db=15.0, noise_case=case, seed=args.seed)
         scene, snap = synthesize_scene(cfg)
 
-        power = cbf_spectrum(snap, grid, normalize=True)
+        power = cbf_spectrum(snap, grid)
+        power = power / power.max()
         power_db = 10 * np.log10(power)
         inner = (power_db[1:-1] > power_db[:-2]) & (power_db[1:-1] >= power_db[2:])
         peaks = np.flatnonzero(inner) + 1

@@ -25,29 +25,24 @@ class AngularGrid:
         object.__setattr__(self, "thetas", t)
 
     @classmethod
-    def uniform(cls, count: int = 361, low: float = -90.0, high: float = 90.0) -> "AngularGrid":
+    def uniform(cls, count: int = 361) -> "AngularGrid":
+        """``count`` equally spaced bearings spanning the whole half-plane, -90 to 90 degrees."""
         if count < 2:
             raise ValueError(f"grid needs at least two points, got {count}")
-        return cls(thetas=np.linspace(low, high, count))
+        return cls(thetas=np.linspace(-90.0, 90.0, count))
 
     @property
     def omegas(self) -> np.ndarray:
         return theta_to_omega(self.thetas)
 
 
-def cbf_spectrum(Y: SnapshotMatrix | np.ndarray, grid: AngularGrid, normalize: bool = False) -> np.ndarray:
+def cbf_spectrum(Y: SnapshotMatrix | np.ndarray, grid: AngularGrid) -> np.ndarray:
     """Beam power per grid angle: ``mean_l |a(theta)^H y_l|^2 / M^2``.
 
     The 1/M^2 scaling makes a unit-amplitude source read ~|x|^2 at its true
-    bearing regardless of the array size.  With ``normalize`` the curve is
-    scaled to a unit (0 dB) peak.
+    bearing regardless of the array size.
     """
     data = Y.data if isinstance(Y, SnapshotMatrix) else np.asarray(Y, dtype=np.complex128)
     M = data.shape[0]
     A = steering_matrix(grid.omegas, M)
-    power = (np.abs(A.conj().T @ data) ** 2).mean(axis=1) / M**2
-    if normalize:
-        peak = power.max()
-        if peak > 0:
-            power = power / peak
-    return power
+    return (np.abs(A.conj().T @ data) ** 2).mean(axis=1) / M**2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import VonMises, _next_pow2, approximate_posterior, moment_vector
+from .circular import VonMises, _plan, approximate_posterior, moment_vector
 from .model import NoiseCase, SnapshotMatrix
 from .support_search import EigenPosterior, SupportState, compute_jh, greedy_search, make_workspace
 
@@ -164,8 +164,8 @@ def init_state(Y: np.ndarray, N: int, case: NoiseCase) -> InferenceState:
         tau = 1.0
     hyper = HyperParams(rho=rho, tau=tau)
 
-    G = _next_pow2(16 * M)
-    orders = np.arange(M)
+    plan = _plan(M)
+    G, orders = plan.G, plan.orders
     residual = Y.copy()
     power = (np.abs(np.fft.fft(residual, n=G, axis=0)) ** 2).sum(axis=1)  # (G,) periodogram of the residual
     posteriors: list[VonMises] = []
@@ -210,7 +210,7 @@ def _sweep_terms(state: InferenceState, Y: np.ndarray):
     B = (Y * W) @ np.conj(X.T)
     W_l = np.broadcast_to(W, (W.shape[0], L))
     outer = (X.T[:, :, None] * np.conj(X.T)[:, None, :]).reshape(L, k * k)   # [l, q*k + p] = X[q, l] conj(X[p, l])
-    U = (W_l @ outer).reshape(-1, k, k) + state.weight_posterior.weighted_sum(W_l)
+    U = (W_l @ outer).reshape(len(W_l), k, k) + state.weight_posterior.weighted_sum(W_l)
     idx = np.arange(k)
     U[:, idx, idx] = 0.0
     return B, U
@@ -226,8 +226,6 @@ def update_frequencies(state: InferenceState, Y: np.ndarray) -> InferenceState:
     (:func:`_sweep_terms`) and the current moments A_S.
     """
     S = list(state.support.active_set)
-    if not S:
-        return state
     M = Y.shape[0]
     B, U = _sweep_terms(state, Y)
     A_S = state.moments[:, S]
@@ -268,10 +266,7 @@ def update_hyperparams(state: InferenceState) -> InferenceState:
 
 def noise_cell_quantities(state: InferenceState, Y: np.ndarray) -> np.ndarray:
     """Per-cell noise quantity: residual power + weight-posterior term + frequency-uncertainty term."""
-    S = list(state.support.active_set)
-    if not S:
-        return np.abs(Y) ** 2
-    A_S = state.moments[:, S]
+    A_S = state.moments[:, list(state.support.active_set)]
     X = state.weight_means
     resid = Y - A_S @ X
     term1 = np.abs(resid) ** 2
@@ -290,8 +285,7 @@ def update_noise(state: InferenceState, Y: np.ndarray) -> InferenceState:
 
 def _padded_weights(state: InferenceState, N: int, L: int) -> np.ndarray:
     X = np.zeros((N, L), dtype=np.complex128)
-    if state.support.size:
-        X[list(state.support.active_set), :] = state.weight_means
+    X[list(state.support.active_set), :] = state.weight_means
     return X
 
 
@@ -340,8 +334,7 @@ def run(
     S = list(state.support.active_set)
     omegas = np.array([state.posteriors[i].mu for i in S])
     kappas = np.array([state.posteriors[i].kappa for i in S])
-    A_S = state.moments[:, S]
-    signal = A_S @ state.weight_means if S else np.zeros((M, L), dtype=np.complex128)
+    signal = state.moments[:, S] @ state.weight_means
     return EstimationResult(
         k_hat=len(S),
         omegas=omegas,

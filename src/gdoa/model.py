@@ -205,16 +205,13 @@ def synthesize_noise_variances(
     return np.broadcast_to(10.0 ** (db / 10.0), (M, L)).copy()
 
 
-def synthesize_scene(
-    config: ScenarioConfig, rng: np.random.Generator | None = None
-) -> tuple[SyntheticScene, SnapshotMatrix]:
-    """Draw a full scene and its noisy snapshot matrix.
+def synthesize_scene(config: ScenarioConfig) -> tuple[SyntheticScene, SnapshotMatrix]:
+    """Draw a full scene and its noisy snapshot matrix from the generator ``config.rng()``.
 
     Draw order (fixed for reproducibility): weight magnitudes, weight phases,
     noise-level dB draws, then the complex noise samples.
     """
-    if rng is None:
-        rng = config.rng()
+    rng = config.rng()
     M, L, K = config.M, config.L, config.K
 
     law = config.amplitude_law
@@ -226,7 +223,7 @@ def synthesize_scene(
     weights = mags * np.exp(1j * phases)
 
     omegas = np.asarray(config.true_omegas, dtype=float)
-    clean = steering_matrix(omegas, M) @ weights if K > 0 else np.zeros((M, L), dtype=np.complex128)
+    clean = steering_matrix(omegas, M) @ weights
 
     variances = synthesize_noise_variances(config, rng, clean)
     noise = np.sqrt(variances / 2.0) * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))

@@ -141,10 +141,10 @@ class EigenPosterior:
             # row m is V diag((W d)_m) V^H: one product with the outer products v_j v_j^H of V's columns
             Vt = self.V[0].T
             outer = (Vt[:, :, None] * np.conj(Vt)[:, None, :]).reshape(k, k * k)
-            return ((W @ self.d) @ outer).reshape(-1, k, k)
+            return ((W @ self.d) @ outer).reshape(len(W), k, k)
         # P = L: W times the vectorised C_l, far cheaper than the other order's L products (M, k) @ (k, k^2)
         C = (self.V * self.d[:, None, :]) @ np.conj(self.V.swapaxes(1, 2))
-        return (W @ C.reshape(P, k * k)).reshape(-1, k, k)
+        return (W @ C.reshape(P, k * k)).reshape(len(W), k, k)
 
     def trace(self) -> float:
         return float(self.d.sum())
@@ -280,25 +280,23 @@ def _sweep_deltas(ws: SearchWorkspace) -> np.ndarray:
     inactive = [i for i in range(N) if i not in active]
     log_odds = ws.log_odds()
 
-    if inactive:
-        # per snapshot and candidate m: quad = J_{S,m}^H C J_{S,m}, cross = J_{S,m}^H x, tr_inv = J_mm
-        w, V, d = ws.J.w, ws.posterior.V, ws.posterior.d
-        P, k = V.shape[:2]
-        Gsel = ws.J.rows(active)[:, :, inactive]                      # (P, s, m)
-        proj = np.abs(np.conj(V.swapaxes(1, 2)) @ Gsel) ** 2         # (P, k, m)
-        quad = ((d * w[:, None] ** 2).reshape(P, ws.L // P, k) @ proj).reshape(ws.L, -1)
-        cross = w[:, None] * _unblock(np.conj(Gsel.swapaxes(1, 2)) @ _blocks(ws.x, P)).T
-        tr_inv = ws.J.diag * w                                        # the constant diagonal, tr(Sigma_l^{-1})
-        denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
-        if np.any(denom <= 0):
-            raise NumericalError("nonpositive Schur complement in candidate sweep")
-        v = 1.0 / denom
-        u = v * (ws.H[inactive, :].T - cross)
-        deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
+    # per snapshot and candidate m: quad = J_{S,m}^H C J_{S,m}, cross = J_{S,m}^H x, tr_inv = J_mm
+    w, V, d = ws.J.w, ws.posterior.V, ws.posterior.d
+    P, k = V.shape[:2]
+    Gsel = ws.J.rows(active)[:, :, inactive]                          # (P, s, m)
+    proj = np.abs(np.conj(V.swapaxes(1, 2)) @ Gsel) ** 2             # (P, k, m)
+    quad = ((d * w[:, None] ** 2).reshape(P, ws.L // P, k) @ proj).reshape(ws.L, len(inactive))
+    cross = w[:, None] * _unblock(np.conj(Gsel.swapaxes(1, 2)) @ _blocks(ws.x, P)).T
+    tr_inv = ws.J.diag * w                                            # the constant diagonal, tr(Sigma_l^{-1})
+    denom = (tr_inv + 1.0 / ws.tau)[:, None] - quad
+    if np.any(denom <= 0):
+        raise NumericalError("nonpositive Schur complement in candidate sweep")
+    v = 1.0 / denom
+    u = v * (ws.H[inactive, :].T - cross)
+    deltas[inactive] = (np.log(v / ws.tau) + np.abs(u) ** 2 * denom).sum(axis=0) + log_odds
 
-    if active:
-        cpp = ws.posterior.diag()                             # (L, k) diagonals of the C_l
-        deltas[active] = -(np.log(cpp / ws.tau) + np.abs(ws.x.T) ** 2 / cpp).sum(axis=0) - log_odds
+    cpp = ws.posterior.diag()                                         # (L, k) diagonals of the C_l
+    deltas[active] = -(np.log(cpp / ws.tau) + np.abs(ws.x.T) ** 2 / cpp).sum(axis=0) - log_odds
 
     return deltas
 

@@ -63,9 +63,3 @@ class TestCbfSpectrum:
         base = cbf_spectrum(Y, grid)
         rotated = cbf_spectrum(np.exp(1j * phase) * Y, grid)
         np.testing.assert_allclose(rotated, base, rtol=1e-10)
-
-    def test_normalized_peak(self):
-        rng = np.random.default_rng(9)
-        Y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        power = cbf_spectrum(Y, AngularGrid.uniform(61), normalize=True)
-        assert power.max() == 1.0

@@ -236,6 +236,16 @@ class TestFrequencyEta:
             if i not in state.support.active_set:
                 assert state.posteriors[i] is before[i]
 
+    def test_empty_support_changes_nothing(self, rng):
+        state = make_state(rng, active=())
+        state.weight_means = np.zeros((0, 2), dtype=complex)
+        state.weight_posterior = eigen_posterior(np.zeros((2, 0, 0), dtype=complex))
+        Y = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        before, moments = list(state.posteriors), state.moments.copy()
+        update_frequencies(state, Y)
+        assert all(after is vm for after, vm in zip(state.posteriors, before))
+        assert state.moments.tobytes() == moments.tobytes()
+
 
 class TestSequentialSweep:
     @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
@@ -472,6 +482,14 @@ class TestRun:
         A = np.column_stack([moment_vector(VonMises(m, k), 14)
                              for m, k in zip(result.omegas, result.kappas)])
         np.testing.assert_allclose(result.signal, A @ result.weights, atol=1e-14)
+
+    @pytest.mark.parametrize("case", list(NoiseCase), ids=lambda c: c.value)
+    def test_zero_input_gives_the_empty_estimate(self, case):
+        result = run(np.zeros((4, 2), dtype=complex), case=case)
+        assert result.k_hat == 0 and result.omegas.shape == result.kappas.shape == (0,)
+        assert result.weights.shape == (0, 2)
+        assert result.signal.dtype == np.complex128
+        assert result.signal.tobytes() == np.zeros((4, 2), dtype=complex).tobytes()
 
     def test_nonfinite_input_rejected(self):
         Y = np.zeros((4, 2), dtype=complex)

@@ -437,6 +437,20 @@ class TestLnZ:
                 expected = ln_z(flipped, ws) - base
                 assert _sweep_deltas(ws)[k] == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
+    @pytest.mark.parametrize("tied_axes", LAYOUTS, ids=str)
+    def test_flip_difference_equals_delta_at_empty_and_full_support(self, rng, tied_axes):
+        # every candidate is inactive at k = 0 and active at k = N; P = 1 for a tied layout, P = L per cell
+        inst = random_instance(rng, L=4, tied_axes=tied_axes)
+        assert inst["J"].g.shape[1] == (1 if tied_axes else 4)
+        for support in ((), tuple(range(8))):
+            ws = workspace_of(inst, support)
+            base = ln_z(support_vec(8, support), ws)
+            deltas = _sweep_deltas(ws)
+            for k in range(8):
+                flipped = support_vec(8, support)
+                flipped[k] = ~flipped[k]
+                assert deltas[k] == pytest.approx(ln_z(flipped, ws) - base, rel=1e-8, abs=1e-8)
+
 
 class TestDeltas:
     def test_activate_from_empty_support(self, rng):
